@@ -200,15 +200,24 @@ impl GpuSpec {
         )
     }
 
+    /// The roofline part of [`gemm_time`](GpuSpec::gemm_time): the same
+    /// busy time, without launch overhead, for `flops` of work over
+    /// `bytes` of HBM traffic.
+    #[inline]
+    pub fn gemm_busy_time(&self, flops: f64, bytes: f64, dtype: Dtype) -> SimDuration {
+        self.busy_time(flops, bytes, self.peak_flops(dtype) * self.max_gemm_efficiency)
+    }
+
     fn kernel_time(&self, cost: KernelCost, effective_flops: f64) -> SimDuration {
-        let compute_s = if cost.flops > 0.0 {
-            cost.flops / effective_flops
-        } else {
-            0.0
-        };
-        let memory_s = cost.bytes / self.hbm_bandwidth;
-        let busy = compute_s.max(memory_s);
-        SimDuration::from_secs_f64(busy) + self.kernel_launch_overhead * u64::from(cost.launches)
+        self.busy_time(cost.flops, cost.bytes, effective_flops)
+            + self.kernel_launch_overhead * u64::from(cost.launches)
+    }
+
+    #[inline]
+    fn busy_time(&self, flops: f64, bytes: f64, effective_flops: f64) -> SimDuration {
+        let compute_s = if flops > 0.0 { flops / effective_flops } else { 0.0 };
+        let memory_s = bytes / self.hbm_bandwidth;
+        SimDuration::from_secs_f64(compute_s.max(memory_s))
     }
 
     /// Hardware FLOPs utilization achieved by a kernel of `cost` that ran

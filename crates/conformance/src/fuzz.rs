@@ -734,7 +734,7 @@ impl InferCaseSpec {
             requests_per_day: 1_000 + rng.below(200_000),
             horizon_s: 60 + rng.below(840) as u32,
             tp: 1 << rng.below(3),
-            pp: 1 << rng.below(2),
+            pp: 1 << rng.below(3),
             replicas: 1 + rng.below(4) as u32,
             block_tokens: 1 << rng.below(7),
             max_batch: 1 + rng.below(64) as u32,
@@ -1199,6 +1199,7 @@ mod tests {
     fn infer_sampling_is_deterministic_and_normalized() {
         let mut a = TestRng::new(0xCAFE);
         let mut b = TestRng::new(0xCAFE);
+        let mut pps = BTreeMap::new();
         for _ in 0..50 {
             let sa = InferCaseSpec::sample(&mut a);
             let sb = InferCaseSpec::sample(&mut b);
@@ -1207,7 +1208,9 @@ mod tests {
             assert!(sa.tp.is_power_of_two() && sa.tp <= 8);
             assert!(sa.pp >= 1 && sa.replicas >= 1 && sa.max_batch >= 1);
             assert!(sa.block_tokens >= 1);
+            *pps.entry(sa.pp).or_insert(0) += 1;
         }
+        assert_eq!(pps.keys().copied().collect::<Vec<_>>(), [1, 2, 4], "pp draws: {pps:?}");
     }
 
     #[test]

@@ -895,8 +895,11 @@ pub fn oracle_continuous_batching(model: &InferenceModel, requests: &[Request]) 
 /// [`simulate_replica`] from scratch: the waiting queue is an index
 /// window over the time-ordered shard (not a `VecDeque`), resident KV
 /// tokens are re-summed from per-sequence contexts every decode
-/// iteration (not maintained incrementally), and completed sequences
-/// are filtered into a fresh vector (not removed in place).
+/// iteration (not maintained incrementally), each iteration is priced
+/// whole by `decode_iter_time` (not split into a per-batch constant
+/// plus per-stage rooflines), and every resident sequence is stepped
+/// one token per iteration with completed ones filtered into a fresh
+/// vector (not popped from a finish-keyed heap at the event horizon).
 pub fn naive_continuous_batching(
     costs: &InferCosts,
     max_batch: usize,

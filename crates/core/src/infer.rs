@@ -39,7 +39,9 @@ use crate::mesh::Mesh4D;
 use crate::planner::HBM_BUDGET_FRACTION;
 use crate::tp::{TpPlan, COLLECTIVES_PER_LAYER};
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A tensor/pipeline-parallel serving mesh: `tp × pp` GPUs per model
 /// replica, `replicas` independent replicas.
@@ -414,6 +416,10 @@ impl InferCosts {
     /// the roofline max of GEMV compute and (weights + KV) bandwidth;
     /// stages execute serially (no decode micro-batching), plus TP
     /// collectives and `pp − 1` single-token hand-offs.
+    ///
+    /// [`simulate_replica`] prices the same integer terms regrouped
+    /// (see `decode_fixed_ns`); this whole-iteration form is the
+    /// reference the regrouping is tested against.
     pub fn decode_iter_time(&self, batch: u64, kv_tokens: u64) -> SimDuration {
         let mut total = SimDuration::ZERO;
         let hidden_shard =
@@ -435,6 +441,49 @@ impl InferCosts {
         }
         let boundary = (batch * memory::boundary_activation_bytes_per_token(&self.model)) as f64;
         total + SimDuration::from_secs_f64((self.pp - 1) as f64 * self.p2p.at(boundary) * 1e-9)
+    }
+
+    /// The batch-only nanoseconds of [`decode_iter_time`](Self::decode_iter_time):
+    /// launch overheads, TP all-gathers and the `pp − 1` hand-offs. Adding
+    /// [`decode_roofline_ns`](Self::decode_roofline_ns) gives the full
+    /// iteration exactly, since both halves are sums of the same rounded
+    /// integer terms.
+    fn decode_fixed_ns(&self, batch: u64) -> u64 {
+        let hidden_shard =
+            (batch * 2 * self.model.hidden_dim).div_ceil(self.tp.tp as u64) as f64;
+        let mut total = SimDuration::ZERO;
+        for d in &self.decode {
+            let comm_ns = if self.tp.tp > 1 {
+                d.collectives * self.ag.at(hidden_shard)
+            } else {
+                0.0
+            };
+            total = total
+                + self.gpu.kernel_launch_overhead * u64::from(d.launches)
+                + SimDuration::from_secs_f64(comm_ns * 1e-9);
+        }
+        let boundary = (batch * memory::boundary_activation_bytes_per_token(&self.model)) as f64;
+        (total + SimDuration::from_secs_f64((self.pp - 1) as f64 * self.p2p.at(boundary) * 1e-9))
+            .as_nanos()
+    }
+
+    /// The per-stage roofline nanoseconds of one decode iteration, the
+    /// only part that reads `kv_tokens`. Same float expressions as
+    /// [`decode_iter_time`](Self::decode_iter_time).
+    #[inline]
+    fn decode_roofline_ns(&self, batch: u64, kv_tokens: u64) -> u64 {
+        let mut ns = 0;
+        for d in &self.decode {
+            ns += self
+                .gpu
+                .gemm_busy_time(
+                    d.flops_per_seq * batch as f64 + d.flops_per_kv_token * kv_tokens as f64,
+                    d.weight_bytes + d.bytes_per_kv_token * kv_tokens as f64,
+                    Dtype::Bf16,
+                )
+                .as_nanos();
+        }
+        ns
     }
 }
 
@@ -490,23 +539,27 @@ pub struct ReplicaResult {
     pub busy: SimDuration,
 }
 
-/// One resident sequence inside the continuous-batching loop.
-struct Active {
-    idx: usize,
-    context: u64,
-    remaining: u64,
-    blocks: u64,
-}
-
 /// Runs one replica's continuous-batching loop over its time-ordered
 /// request slice. Deterministic and single-threaded; the policy is
 /// deliberately simple enough for conformance to re-walk naively.
+///
+/// Decode runs event to event. Between events the batch is constant,
+/// so its batch-only pricing is computed once and each iteration adds
+/// only the per-stage roofline terms. Resident sequences sit in a
+/// min-heap keyed `(finish iteration, request index)`; admission is
+/// FIFO, so the index is the admission order and sequences finishing in
+/// the same iteration complete in the order a batch scan would find
+/// them. A run of iterations stops at the earliest finish, or — when the
+/// queue is empty and the batch has room — at the first iteration
+/// boundary at or after the next arrival. Every iteration is still
+/// priced and rounded on its own, so results match a one-iteration-at-
+/// a-time walk bit for bit.
 pub fn simulate_replica(costs: &InferCosts, max_batch: usize, requests: &[Request]) -> ReplicaResult {
     let max_batch = max_batch.max(1);
     let capacity = costs.block_capacity();
     let mut outcomes = Vec::with_capacity(requests.len());
     let mut waiting: VecDeque<usize> = VecDeque::new();
-    let mut active: Vec<Active> = Vec::new();
+    let mut resident: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
     let mut first_token = vec![0u64; requests.len()];
     let mut now = 0u64;
     let mut next = 0usize;
@@ -515,9 +568,9 @@ pub fn simulate_replica(costs: &InferCosts, max_batch: usize, requests: &[Reques
     let mut dropped = 0u64;
     let mut peak_blocks = 0u64;
     let mut decode_iters = 0u64;
-    let mut busy = SimDuration::ZERO;
+    let mut busy_ns = 0u64;
 
-    while next < requests.len() || !waiting.is_empty() || !active.is_empty() {
+    while next < requests.len() || !waiting.is_empty() || !resident.is_empty() {
         while next < requests.len() && requests[next].arrival_ns <= now {
             waiting.push_back(next);
             next += 1;
@@ -525,9 +578,9 @@ pub fn simulate_replica(costs: &InferCosts, max_batch: usize, requests: &[Reques
 
         // Admission: FIFO with head-of-line blocking, whole-lifetime
         // block reservation.
-        let mut admitted: Vec<usize> = Vec::new();
-        while let Some(&i) = waiting.front() {
-            if active.len() + admitted.len() >= max_batch {
+        let mut admitted = 0usize;
+        while let Some(&i) = waiting.get(admitted) {
+            if resident.len() + admitted >= max_batch {
                 break;
             }
             let need = costs.blocks_needed(&requests[i]);
@@ -535,82 +588,69 @@ pub fn simulate_replica(costs: &InferCosts, max_batch: usize, requests: &[Reques
                 break;
             }
             free -= need;
-            waiting.pop_front();
-            admitted.push(i);
+            admitted += 1;
         }
         peak_blocks = peak_blocks.max(capacity - free);
 
-        if !admitted.is_empty() {
+        if admitted > 0 {
             // Prefill iteration: admitted prompts run serially and all
             // emit their first token when the batch completes.
             let mut t = SimDuration::ZERO;
-            for &i in &admitted {
+            for &i in waiting.range(..admitted) {
                 t += costs.prefill_time(requests[i].prompt_tokens);
             }
             now += t.as_nanos();
-            busy += t;
-            for &i in &admitted {
+            busy_ns += t.as_nanos();
+            for i in waiting.drain(..admitted) {
                 let r = &requests[i];
                 first_token[i] = now;
                 if r.output_tokens == 1 {
                     free += costs.blocks_needed(r);
-                    outcomes.push(RequestOutcome {
-                        id: r.id,
-                        arrival_ns: r.arrival_ns,
-                        prompt_tokens: r.prompt_tokens,
-                        output_tokens: r.output_tokens,
-                        first_token_ns: now,
-                        finish_ns: now,
-                    });
+                    outcomes.push(outcome(r, now, now));
                 } else {
                     kv_tokens += r.prompt_tokens + 1;
-                    active.push(Active {
-                        idx: i,
-                        context: r.prompt_tokens + 1,
-                        remaining: r.output_tokens - 1,
-                        blocks: costs.blocks_needed(r),
-                    });
+                    resident.push(Reverse((decode_iters + r.output_tokens - 1, i)));
                 }
             }
             continue;
         }
 
-        if !active.is_empty() {
-            let t = costs.decode_iter_time(active.len() as u64, kv_tokens);
-            now += t.as_nanos();
-            busy += t;
-            decode_iters += 1;
-            let mut s = 0;
-            while s < active.len() {
-                let a = &mut active[s];
-                a.remaining -= 1;
-                a.context += 1;
-                kv_tokens += 1;
-                if a.remaining == 0 {
-                    let r = &requests[a.idx];
-                    kv_tokens -= a.context;
-                    free += a.blocks;
-                    outcomes.push(RequestOutcome {
-                        id: r.id,
-                        arrival_ns: r.arrival_ns,
-                        prompt_tokens: r.prompt_tokens,
-                        output_tokens: r.output_tokens,
-                        first_token_ns: first_token[a.idx],
-                        finish_ns: now,
-                    });
-                    active.remove(s);
-                } else {
-                    s += 1;
+        if let Some(&Reverse((finish, _))) = resident.peek() {
+            let batch = resident.len() as u64;
+            let fixed_ns = costs.decode_fixed_ns(batch);
+            // An arrival can only change the batch if nothing queues
+            // ahead of it and there is a free slot.
+            let arrival = match requests.get(next) {
+                Some(r) if waiting.is_empty() && resident.len() < max_batch => r.arrival_ns,
+                _ => u64::MAX,
+            };
+            loop {
+                let t = fixed_ns + costs.decode_roofline_ns(batch, kv_tokens);
+                now += t;
+                busy_ns += t;
+                kv_tokens += batch;
+                decode_iters += 1;
+                if decode_iters == finish || now >= arrival {
+                    break;
                 }
+            }
+            while let Some(&Reverse((f, i))) = resident.peek() {
+                if f != decode_iters {
+                    break;
+                }
+                resident.pop();
+                let r = &requests[i];
+                kv_tokens -= r.prompt_tokens + r.output_tokens;
+                free += costs.blocks_needed(r);
+                outcomes.push(outcome(r, first_token[i], now));
             }
             continue;
         }
 
-        if let Some(&i) = waiting.front() {
+        if let Some(i) = waiting.pop_front() {
             // Nothing resident, nothing admitted: the head request can
             // never fit — drop it rather than deadlock the queue.
             debug_assert!(costs.blocks_needed(&requests[i]) > capacity);
-            waiting.pop_front();
             dropped += 1;
             continue;
         }
@@ -625,7 +665,18 @@ pub fn simulate_replica(costs: &InferCosts, max_batch: usize, requests: &[Reques
         peak_blocks,
         free_blocks_end: free,
         decode_iters,
-        busy,
+        busy: SimDuration::from_nanos(busy_ns),
+    }
+}
+
+fn outcome(r: &Request, first_token_ns: u64, finish_ns: u64) -> RequestOutcome {
+    RequestOutcome {
+        id: r.id,
+        arrival_ns: r.arrival_ns,
+        prompt_tokens: r.prompt_tokens,
+        output_tokens: r.output_tokens,
+        first_token_ns,
+        finish_ns,
     }
 }
 
@@ -673,8 +724,21 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+    sorted[percentile_rank(sorted.len(), p)]
+}
+
+/// [`percentile`] of an unsorted sample vector, found by selection
+/// (linear time) instead of a full sort; reorders `samples`.
+fn select_percentile(samples: &mut [u64], p: f64) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    *samples.select_nth_unstable(percentile_rank(samples.len(), p)).1
+}
+
+/// The nearest-rank position of percentile `p` among `len ≥ 1` samples.
+fn percentile_rank(len: usize, p: f64) -> usize {
+    (((len - 1) as f64 * p).round() as usize).min(len - 1)
 }
 
 /// The unified inference workload: a spec plus its pre-computed cost
@@ -697,11 +761,21 @@ impl InferenceModel {
     /// Routes `requests` round-robin across replicas (by arrival
     /// index), simulates every replica to drain, and folds the results
     /// in replica order — bit-identical for any thread count.
+    ///
+    /// Workers, the calling thread among them, claim replicas one at a
+    /// time from a shared counter, so a worker that falls behind (a
+    /// busier replica, a preempted core) delays the run by at most one
+    /// replica rather than by its whole share.
     pub fn simulate(&self, requests: &[Request]) -> InferReport {
         let replicas = self.spec.plan.replicas as usize;
-        let mut shards: Vec<Vec<Request>> = vec![Vec::new(); replicas];
+        let shard = |r: &Request| (r.id % replicas as u64) as usize;
+        let mut counts = vec![0usize; replicas];
         for r in requests {
-            shards[(r.id % replicas as u64) as usize].push(*r);
+            counts[shard(r)] += 1;
+        }
+        let mut shards: Vec<Vec<Request>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for r in requests {
+            shards[shard(r)].push(*r);
         }
 
         let threads = if self.spec.threads == 0 {
@@ -710,32 +784,37 @@ impl InferenceModel {
             self.spec.threads
         }
         .clamp(1, replicas);
-        let chunk_len = replicas.div_ceil(threads).max(1);
-        let results: Vec<ReplicaResult> = std::thread::scope(|s| {
-            let costs = &self.costs;
-            let max_batch = self.spec.max_batch;
-            let handles: Vec<_> = shards
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    s.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|reqs| simulate_replica(costs, max_batch, reqs))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            // lint: allow(unwrap) — a panicking replica worker is a simulator bug
-            handles.into_iter().flat_map(|h| h.join().expect("replica thread")).collect()
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(reqs) = shards.get(i) else {
+                    return done;
+                };
+                done.push((i, simulate_replica(&self.costs, self.spec.max_batch, reqs)));
+            }
+        };
+        let mut done: Vec<(usize, ReplicaResult)> = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+            let mut done = work();
+            for h in helpers {
+                // lint: allow(unwrap) — a panicking replica worker is a simulator bug
+                done.extend(h.join().expect("replica thread"));
+            }
+            done
         });
+        done.sort_unstable_by_key(|&(i, _)| i);
+        let results: Vec<ReplicaResult> = done.into_iter().map(|(_, r)| r).collect();
 
         self.fold(requests.len() as u64, &results)
     }
 
     /// Assembles the fleet report from per-replica results.
     pub fn fold(&self, offered: u64, results: &[ReplicaResult]) -> InferReport {
-        let mut ttft: Vec<u64> = Vec::new();
-        let mut tpot: Vec<u64> = Vec::new();
+        let outcomes = results.iter().map(|r| r.outcomes.len()).sum();
+        let mut ttft: Vec<u64> = Vec::with_capacity(outcomes);
+        let mut tpot: Vec<u64> = Vec::with_capacity(outcomes);
         let mut prompt_tokens = 0u64;
         let mut generated = 0u64;
         let mut completed = 0u64;
@@ -769,15 +848,9 @@ impl InferenceModel {
                 }
             }
         }
-        ttft.sort_unstable();
-        tpot.sort_unstable();
         let makespan_s = (makespan_ns as f64 / 1e9).max(1e-9);
-        let pct = |v: &[u64]| {
-            [
-                SimDuration::from_nanos(percentile(v, 0.50)),
-                SimDuration::from_nanos(percentile(v, 0.95)),
-                SimDuration::from_nanos(percentile(v, 0.99)),
-            ]
+        let pct = |v: &mut [u64]| {
+            [0.50, 0.95, 0.99].map(|p| SimDuration::from_nanos(select_percentile(v, p)))
         };
         InferReport {
             requests: offered,
@@ -786,8 +859,8 @@ impl InferenceModel {
             prompt_tokens,
             generated_tokens: generated,
             tokens_per_s: generated as f64 / makespan_s,
-            ttft: pct(&ttft),
-            tpot: pct(&tpot),
+            ttft: pct(&mut ttft),
+            tpot: pct(&mut tpot),
             slo_attainment: if completed > 0 {
                 slo_met as f64 / completed as f64
             } else {
@@ -924,6 +997,41 @@ mod tests {
     }
 
     #[test]
+    fn split_decode_pricing_is_bit_identical() {
+        let gpu = GpuSpec::h100_sxm_hbm3();
+        let mut compute_bound = 0;
+        for tp in [1u32, 8] {
+            for pp in [1u32, 2, 4] {
+                let spec = InferSpec::new(
+                    TransformerConfig::llama3_8b(),
+                    gpu.clone(),
+                    8,
+                    InferPlan::new(tp, pp, 1),
+                );
+                let costs = InferCosts::new(&spec).unwrap();
+                let max_kv = costs.block_capacity() * spec.block_tokens;
+                for batch in [1u64, 2, 64, 4096] {
+                    let fixed = costs.decode_fixed_ns(batch);
+                    for k in 0..=64 {
+                        let kv = max_kv * k / 64;
+                        assert_eq!(
+                            fixed + costs.decode_roofline_ns(batch, kv),
+                            costs.decode_iter_time(batch, kv).as_nanos(),
+                            "tp{tp} pp{pp} batch {batch} kv {kv}"
+                        );
+                        let d = &costs.decode[0];
+                        let flops = d.flops_per_seq * batch as f64 + d.flops_per_kv_token * kv as f64;
+                        let compute_s = flops / (gpu.peak_bf16_flops * gpu.max_gemm_efficiency);
+                        let memory_s = (d.weight_bytes + d.bytes_per_kv_token * kv as f64) / gpu.hbm_bandwidth;
+                        compute_bound += u32::from(compute_s > memory_s);
+                    }
+                }
+            }
+        }
+        assert!(compute_bound > 0, "no sampled point reached the compute branch");
+    }
+
+    #[test]
     fn replica_conserves_tokens_and_blocks() {
         let spec = spec_8b(1);
         let costs = InferCosts::new(&spec).unwrap();
@@ -994,6 +1102,14 @@ mod tests {
         assert_eq!(percentile(&v, 0.50), 51);
         assert_eq!(percentile(&v, 0.99), 99);
         assert_eq!(percentile(&[], 0.99), 0);
+        assert_eq!(select_percentile(&mut [], 0.99), 0);
+        // Selection over any order (repeats included) finds the value a sort would.
+        let mut shuffled: Vec<u64> = (0..1000u64).map(|i| (i * 7919) % 1000 / 3).collect();
+        let mut sorted = shuffled.clone();
+        sorted.sort_unstable();
+        for p in [0.0, 0.25, 0.50, 0.95, 0.99, 1.0] {
+            assert_eq!(select_percentile(&mut shuffled, p), percentile(&sorted, p), "p {p}");
+        }
     }
 
     #[test]

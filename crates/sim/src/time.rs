@@ -85,11 +85,18 @@ impl SimDuration {
 
     /// Creates a duration from fractional seconds, rounding to the nearest
     /// nanosecond. Negative and non-finite inputs clamp to zero.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
-        if !s.is_finite() || s <= 0.0 {
+        // NaN, the infinities and non-positive inputs all fail this test.
+        if !(s > 0.0 && s < f64::INFINITY) {
             return SimDuration(0);
         }
-        SimDuration((s * 1e9).round() as u64)
+        // `(s * 1e9).round() as u64` without the libm call: below 2^53
+        // the fraction `ns - trunc(ns)` is exact, above it is zero, and
+        // `>= 0.5` rounds half away from zero as `f64::round` does.
+        let ns = s * 1e9;
+        let whole = ns as u64;
+        SimDuration(whole.saturating_add(u64::from(ns - whole as f64 >= 0.5)))
     }
 
     /// Duration in nanoseconds.
@@ -258,6 +265,44 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NEG_INFINITY), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn from_secs_f64_rounds_like_f64_round() {
+        let reference = |s: f64| {
+            if !s.is_finite() || s <= 0.0 {
+                0
+            } else {
+                (s * 1e9).round() as u64
+            }
+        };
+        let mut probes = vec![
+            f64::INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            4.999_999_999_999_999_4e-10,
+            5e-10,
+            1.5e-9,
+            2.5e-9,
+        ];
+        for e in 0..70 {
+            let ns = 2f64.powi(e);
+            for ns in [ns, ns - 0.5, ns + 0.5, ns * 1.5, ns - 1.0] {
+                let s = ns / 1e9;
+                probes.extend([s, f64::from_bits(s.to_bits().saturating_sub(1)), f64::from_bits(s.to_bits() + 1)]);
+            }
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // Every positive double, and the ones below two seconds.
+            probes.extend([f64::from_bits(x >> 1), f64::from_bits(x >> 2)]);
+        }
+        for s in probes {
+            assert_eq!(SimDuration::from_secs_f64(s).as_nanos(), reference(s), "s = {s:e}");
+        }
     }
 
     #[test]

@@ -13,6 +13,9 @@ cargo build --release --examples
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> benchmark tests: every workload pinned on both seeds, a perturbed pin is caught"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
