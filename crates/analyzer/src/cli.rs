@@ -1,11 +1,10 @@
-//! The `analyze` subcommand: pre-flight static analysis of a named
-//! configuration or the whole conformance grid, with **no simulation**.
-//!
-//! Shared between `llama3sim analyze` and the deprecated `analyze`
-//! shim. Exit code 0 means no error-severity findings; 1 means at
-//! least one plan would hang, deadlock or OOM; 2 is a usage error.
+//! Flags of the `llama3sim analyze` subcommand: pre-flight static
+//! analysis of a named configuration or the whole conformance grid,
+//! with **no simulation**. Exit code 0 means no error-severity
+//! findings; 1 means at least one plan would hang, deadlock or OOM; 2
+//! is a usage error.
 
-use crate::{analyze_grid, analyze_step, named_step, NAMED_CONFIGS};
+use crate::NAMED_CONFIGS;
 use bench_harness::cli::Flags;
 
 /// Parsed options for the `analyze` subcommand.
@@ -54,58 +53,6 @@ pub fn print_usage(invocation: &str) {
     }
 }
 
-/// Runs the subcommand; returns the process exit code.
-#[deprecated(
-    since = "0.8.0",
-    note = "dispatch a `parallelism_core::query::Query::Analyze` and render \
-            the response; this shim only keeps the old `analyze` bin alive"
-)]
-pub fn run(args: &AnalyzeArgs) -> i32 {
-    if args.list {
-        for (name, desc) in NAMED_CONFIGS {
-            println!("{name:<22} {desc}");
-        }
-        return 0;
-    }
-    if let Some(name) = &args.config {
-        let Some(step) = named_step(name) else {
-            eprintln!("unknown config `{name}`");
-            print_usage("analyze");
-            return 2;
-        };
-        let report = analyze_step(&step);
-        if args.json {
-            let jsonl = report.render_jsonl();
-            if !jsonl.is_empty() {
-                println!("{jsonl}");
-            }
-        } else {
-            println!("{name}: {}", report.render_human());
-        }
-        return i32::from(report.has_errors());
-    }
-    // --grid
-    let results = analyze_grid();
-    let mut failed = 0usize;
-    for (spec, report) in &results {
-        if args.json {
-            let jsonl = report.render_jsonl();
-            if !jsonl.is_empty() {
-                println!("{jsonl}");
-            }
-        } else if !report.is_clean() {
-            println!("[{spec}]\n{}", report.render_human());
-        }
-        if report.has_errors() {
-            failed += 1;
-        }
-    }
-    if !args.json {
-        println!("analyzed {} grid configs: {} with errors", results.len(), failed);
-    }
-    i32::from(failed > 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,20 +68,5 @@ mod tests {
         let a = AnalyzeArgs::parse(&args(&["--config", "scaled_405b", "--json"])).unwrap();
         assert_eq!(a.config.as_deref(), Some("scaled_405b"));
         assert!(a.json && !a.list && !a.grid);
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the shim's behavior until it is removed
-    fn list_and_clean_config_exit_zero() {
-        let list = AnalyzeArgs::parse(&args(&["--list"])).unwrap();
-        assert_eq!(run(&list), 0);
-        let cfg = AnalyzeArgs::parse(&args(&["--config", "scaled_405b"])).unwrap();
-        assert_eq!(run(&cfg), 0);
-        // lint: allow(cli-args) — exercising the unknown-config path
-        let bad = AnalyzeArgs {
-            config: Some("no_such_config".to_string()),
-            ..AnalyzeArgs::default()
-        };
-        assert_eq!(run(&bad), 2);
     }
 }

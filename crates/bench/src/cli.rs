@@ -1,11 +1,10 @@
-//! Minimal shared flag parsing for the `llama3sim` subcommands and the
-//! deprecated single-purpose shims.
+//! Minimal shared flag parsing for the `llama3sim` subcommands.
 //!
-//! One deliberate shape: every subcommand consumes its flags through a
-//! [`Flags`] cursor (`--name` switches, `--name VALUE` options) and
-//! finishes with [`Flags::finish`], so unknown or leftover arguments
-//! fail the same way everywhere instead of being silently ignored by
-//! one bin and rejected by another.
+//! One deliberate shape: every subcommand consumes its CLI-only flags
+//! through a [`Flags`] cursor (`--name` switches, `--name VALUE`
+//! options) and either finishes with [`Flags::finish`] or hands the
+//! rest to the query parser ([`Flags::into_rest`]), so unknown or
+//! leftover arguments fail the same way everywhere.
 
 /// A cursor over raw CLI arguments. Flags may appear in any order;
 /// each accessor removes what it consumed, and [`Flags::finish`]
@@ -59,6 +58,12 @@ impl Flags {
         parse_u64(&v)
             .map(Some)
             .ok_or_else(|| format!("--{name}: expected an integer, got {v:?}"))
+    }
+
+    /// The arguments no accessor consumed, in order, for a caller that
+    /// hands them on to another parser.
+    pub fn into_rest(self) -> Vec<String> {
+        self.args
     }
 
     /// Errors on any argument not consumed by the accessors above.

@@ -2,9 +2,9 @@
 //!
 //! The experiment harness regenerating every table and figure of the
 //! paper's evaluation. Run `cargo run -p bench-harness --bin repro --
-//! all` (or a single experiment id; `list` enumerates them). Criterion
-//! benches covering the simulator's own performance live under
-//! `benches/`.
+//! all` (or a single experiment id; `list` enumerates them). The
+//! simulator's own performance is measured by the `perfbench` benchmark
+//! at the repository root.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -10,8 +10,8 @@
 //!    cache vs pricing uncached.
 //! 3. [`oracle_fluid_fast_path`] — the disjoint-single-link fluid
 //!    shortcut vs the general max-min event loop.
-//! 4. [`oracle_run_vs_deprecated`] — `StepModel::run` vs the four
-//!    deprecated `simulate*` wrappers.
+//! 4. *(Retired together with the deprecated `simulate*` wrappers it
+//!    compared against `StepModel::run`.)*
 //! 5. [`oracle_goodput_recomposition`] — `RunSimulator::simulate` vs an
 //!    independent step-by-step walk of the same fault timeline.
 //! 6. [`oracle_search_frontier`] — the pruned auto-parallelism search
@@ -339,58 +339,6 @@ pub fn oracle_fluid_fast_path(link_bps: &[f64], transfer_bytes: &[f64]) -> Check
         }
     }
     Ok(())
-}
-
-/// Oracle 4 — the deprecated `simulate*` wrappers are thin shims over
-/// [`StepModel::run`] and must stay bit-identical to it until removed.
-// lint: allow(deprecated-sim) — this oracle exists to test the deprecated wrappers
-#[allow(deprecated)]
-pub fn oracle_run_vs_deprecated(m: &StepModel) -> CheckResult {
-    let run_default = m
-        .run(&SimOptions::default())
-        .map_err(|e| format!("run failed: {e}"))?
-        .report;
-    assert_equivalent("simulate() vs run", &m.simulate(), &run_default, 0.0)?;
-    for fidelity in [SimFidelity::Folded, SimFidelity::Full] {
-        let via_run = m
-            .run(&SimOptions::new().fidelity(fidelity))
-            .map_err(|e| format!("run({fidelity:?}) failed: {e}"))?
-            .report;
-        assert_equivalent(
-            &format!("simulate_at({fidelity:?}) vs run"),
-            // lint: allow(deprecated-sim)
-            &m.simulate_at(fidelity),
-            &via_run,
-            0.0,
-        )?;
-    }
-    let jitter = cluster_model::jitter::JitterModel::new(
-        cluster_model::jitter::JitterKind::Static,
-        0.05,
-        17,
-    );
-    let via_run = m
-        .run(&SimOptions::new().jitter(jitter).step(3))
-        .map_err(|e| format!("jittered run failed: {e}"))?
-        .report;
-    assert_equivalent(
-        "simulate_jittered vs run",
-        // lint: allow(deprecated-sim)
-        &m.simulate_jittered(&jitter, 3),
-        &via_run,
-        0.0,
-    )?;
-    // lint: allow(deprecated-sim)
-    let (report, trace) = m.simulate_with_trace();
-    let outcome = m
-        .run(&SimOptions::new().trace(true))
-        .map_err(|e| format!("traced run failed: {e}"))?;
-    assert_equivalent("simulate_with_trace vs run", &report, &outcome.report, 0.0)?;
-    match outcome.trace {
-        Some(t) if t == trace => Ok(()),
-        Some(_) => Err("simulate_with_trace vs run: traces differ".into()),
-        None => Err("run(trace: true) produced no trace".into()),
-    }
 }
 
 /// Oracle 5 — `RunSimulator` day totals vs an independent naive

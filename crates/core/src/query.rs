@@ -19,18 +19,26 @@
 //! `threads` knob), so a thundering herd that only disagrees about
 //! thread counts coalesces onto one computation.
 //!
+//! Each payload kind declares its keys once, in a field table (wire
+//! key, CLI flag, parse, render with default omission). The encoder,
+//! the decoder, the canonical form and [`Query::parse_cli`] — the
+//! `llama3sim` flag parser — all read that table, so the CLI and the
+//! wire cannot drift apart.
+//!
 //! This module defines only data — no I/O, no dispatch — so it can sit
 //! in `parallelism_core` without dragging the analyzer, conformance or
-//! bench crates into the dependency graph. A `repo_lint` rule keeps
-//! these wire types out of the crates *below* core: the substrate
+//! bench crates into the dependency graph. A `llama3sim lint` rule
+//! keeps these wire types out of the crates *below* core: the substrate
 //! must not grow knowledge of the network protocol.
 
 use crate::analyze;
 use crate::fsdp::ZeroMode;
 use crate::infer::{InferPlan, InferReport, InferSpec, InferenceModel};
+use crate::planner::PlannerInput;
 use crate::search::{SearchReport, SearchSpec, SearchStrategy};
 use crate::step::Workload;
 use collectives::CacheStats;
+use llm_model::TransformerConfig;
 use sim_engine::time::SimDuration;
 use std::fmt;
 use workload::traffic::{TrafficShape, TrafficSpec};
@@ -74,6 +82,104 @@ impl fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
+/// How a wire key is spelled on the `llama3sim` command line.
+#[derive(Debug, Clone, Copy)]
+enum Cli {
+    /// Wire-only (the CLI sets it through a CLI-only switch, if at all).
+    None,
+    /// `--flag VALUE`, sent as `key=VALUE`.
+    Opt(&'static str),
+    /// A bare `--flag`, sent as `key=true`.
+    Switch(&'static str),
+}
+
+/// One row of a payload's field table: the single declaration of a
+/// wire key.
+struct Field<Q: 'static> {
+    /// The wire key.
+    key: &'static str,
+    /// The CLI spelling.
+    cli: Cli,
+    /// An execution hint: results are bit-identical for any value, so
+    /// [`Query::canonical_wire`] leaves it out.
+    hint: bool,
+    /// Parses a wire value into the payload.
+    parse: fn(&mut Q, &str) -> Result<(), QueryError>,
+    /// The wire value of `q`, or `None` when it equals the default `d`.
+    render: fn(q: &Q, d: &Q) -> Option<String>,
+}
+
+/// A payload whose wire keys are declared by a field table. Row order
+/// is the fixed key order of the encoding.
+trait Fields: Default + 'static {
+    const FIELDS: &'static [Field<Self>];
+}
+
+/// A numeric row: decimal on the wire, omitted at its default. The CLI
+/// flag defaults to the key.
+macro_rules! num_field {
+    ($key:literal, $field:ident) => {
+        num_field!($key, Cli::Opt($key), $field)
+    };
+    ($key:literal, $cli:expr, $field:ident) => {
+        Field {
+            key: $key,
+            cli: $cli,
+            hint: false,
+            parse: |q, v| {
+                q.$field = parse_num($key, v)?;
+                Ok(())
+            },
+            render: |q, d| (q.$field != d.$field).then(|| q.$field.to_string()),
+        }
+    };
+}
+
+/// An enum row: its `tag()` on the wire, omitted at its default;
+/// `$err` formats the rejected value.
+macro_rules! tag_field {
+    ($key:literal, $cli:expr, $field:ident, $parse:expr, $err:literal) => {
+        Field {
+            key: $key,
+            cli: $cli,
+            hint: false,
+            parse: |q, v| {
+                q.$field = $parse(v).ok_or_else(|| QueryError::new(format!($err, v)))?;
+                Ok(())
+            },
+            render: |q, d| (q.$field != d.$field).then(|| q.$field.tag().to_string()),
+        }
+    };
+}
+
+/// The `model` row shared by every kind that names a model.
+macro_rules! model_field {
+    () => {
+        Field {
+            key: "model",
+            cli: Cli::Opt("model"),
+            hint: false,
+            parse: |q, v| {
+                q.model = v.to_string();
+                Ok(())
+            },
+            render: |q, d| (q.model != d.model).then(|| q.model.clone()),
+        }
+    };
+}
+
+/// Resolves a model name (`405b`, `70b` or `8b`) to its config.
+fn model_config(name: &str) -> Result<TransformerConfig, QueryError> {
+    match name {
+        "405b" => Ok(TransformerConfig::llama3_405b()),
+        "70b" => Ok(TransformerConfig::llama3_70b()),
+        "8b" => Ok(TransformerConfig::llama3_8b()),
+        other => Err(QueryError::new(format!(
+            "unknown model {other:?} (want 405b|70b|8b)"
+        ))),
+    }
+}
+
 /// What the `analyze` query should look at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnalyzeMode {
@@ -94,14 +200,22 @@ pub enum AnalyzeMode {
 pub struct FuzzQuery {
     /// Number of sampled cases.
     pub cases: u64,
-    /// RNG seed.
+    /// RNG seed; the same `(cases, seed)` pair replays the same specs.
     pub seed: u64,
 }
 
 impl Default for FuzzQuery {
     fn default() -> FuzzQuery {
-        FuzzQuery { cases: 500, seed: 1 }
+        FuzzQuery {
+            cases: 500,
+            seed: 1,
+        }
     }
+}
+
+impl Fields for FuzzQuery {
+    const FIELDS: &'static [Field<FuzzQuery>] =
+        &[num_field!("cases", cases), num_field!("seed", seed)];
 }
 
 /// The `search` query: the Pareto auto-parallelism sweep.
@@ -155,22 +269,90 @@ impl Default for SearchQuery {
     }
 }
 
+impl Fields for SearchQuery {
+    const FIELDS: &'static [Field<SearchQuery>] = &[
+        model_field!(),
+        num_field!("gpus", gpus),
+        num_field!("seq", seq),
+        num_field!("layers", layers),
+        num_field!("budget", budget),
+        num_field!("head", Cli::Opt("goodput-head"), goodput_head),
+        Field {
+            hint: true,
+            ..num_field!("threads", threads)
+        },
+        num_field!("max_cp", Cli::Opt("max-cp"), max_cp),
+        Field {
+            key: "zero",
+            cli: Cli::Opt("zero"),
+            hint: false,
+            parse: |q, v| {
+                q.zero = parse_zero(v)?;
+                Ok(())
+            },
+            render: |q, _| {
+                (!q.zero.is_empty()).then(|| {
+                    q.zero
+                        .iter()
+                        .map(|&z| zero_tag(z))
+                        .collect::<Vec<_>>()
+                        .join(",")
+                })
+            },
+        },
+        Field {
+            key: "expect",
+            cli: Cli::Opt("expect"),
+            hint: false,
+            parse: |q, v| {
+                let [tp, cp, pp, dp] = parse_list(v).ok_or_else(|| {
+                    QueryError::new(format!("expect: want tp,cp,pp,dp, got {v:?}"))
+                })?;
+                q.expect = Some((tp, cp, pp, dp));
+                Ok(())
+            },
+            render: |q, _| {
+                q.expect
+                    .map(|(tp, cp, pp, dp)| format!("{tp},{cp},{pp},{dp}"))
+            },
+        },
+        Field {
+            key: "guided",
+            cli: Cli::Switch("guided"),
+            hint: false,
+            parse: |q, v| {
+                q.guided = match v {
+                    "true" => true,
+                    "false" => false,
+                    other => {
+                        return Err(QueryError::new(format!(
+                            "guided: want true|false, got {other:?}"
+                        )))
+                    }
+                };
+                Ok(())
+            },
+            render: |q, _| q.guided.then(|| "true".to_string()),
+        },
+        tag_field!(
+            "workload",
+            Cli::Opt("workload"),
+            workload,
+            Workload::parse,
+            "workload: unknown tag {:?} (want train|infer)"
+        ),
+    ];
+}
+
 impl SearchQuery {
     /// Resolves the query to a [`SearchSpec`].
     ///
     /// # Errors
     /// [`QueryError`] on an unknown model name.
     pub fn to_spec(&self) -> Result<SearchSpec, QueryError> {
-        let mut spec = match self.model.as_str() {
-            "405b" => SearchSpec::llama3_405b(self.gpus, self.seq),
-            "70b" => SearchSpec::llama3_70b(self.gpus, self.seq),
-            "8b" => SearchSpec::llama3_8b(self.gpus, self.seq),
-            other => {
-                return Err(QueryError::new(format!(
-                    "unknown model {other:?} (want 405b|70b|8b)"
-                )))
-            }
-        };
+        let mut input = PlannerInput::llama3_405b(self.gpus, self.seq);
+        input.model = model_config(&self.model)?;
+        let mut spec = SearchSpec::training(input);
         if self.layers > 0 {
             spec.input.model = spec.input.model.with_layers(self.layers);
         }
@@ -205,12 +387,20 @@ pub enum TraceMode {
 }
 
 impl TraceMode {
-    fn tag(self) -> &'static str {
+    /// The mode's wire tag.
+    pub fn tag(self) -> &'static str {
         match self {
             TraceMode::Chrome => "chrome",
             TraceMode::Stats => "stats",
             TraceMode::Smoke => "smoke",
         }
+    }
+
+    /// Parses a wire tag.
+    pub fn parse(s: &str) -> Option<TraceMode> {
+        [TraceMode::Chrome, TraceMode::Stats, TraceMode::Smoke]
+            .into_iter()
+            .find(|m| m.tag() == s)
     }
 }
 
@@ -261,6 +451,43 @@ impl Default for TraceQuery {
     }
 }
 
+impl Fields for TraceQuery {
+    const FIELDS: &'static [Field<TraceQuery>] = &[
+        model_field!(),
+        num_field!("gpus", gpus),
+        num_field!("seq", seq),
+        num_field!("horizon", Cli::Opt("horizon-s"), horizon_s),
+        num_field!("seed", seed),
+        num_field!("tier0", tier0),
+        Field {
+            key: "window",
+            cli: Cli::Opt("window"),
+            hint: false,
+            parse: |q, v| {
+                let [t0, t1] = parse_list(v)
+                    .ok_or_else(|| QueryError::new(format!("window: want t0,t1, got {v:?}")))?;
+                if t0 >= t1 {
+                    return Err(QueryError::new(format!(
+                        "window: t0 must be before t1, got {v:?}"
+                    )));
+                }
+                q.window = Some((t0, t1));
+                Ok(())
+            },
+            render: |q, _| q.window.map(|(t0, t1)| format!("{t0},{t1}")),
+        },
+        num_field!("zoom", zoom),
+        // Set from the CLI by the `--stats` / `--smoke` switches.
+        tag_field!(
+            "mode",
+            Cli::None,
+            mode,
+            TraceMode::parse,
+            "trace: unknown mode {:?} (want chrome|stats|smoke)"
+        ),
+    ];
+}
+
 impl TraceQuery {
     /// Resolves the query to a [`crate::step::StepModel`] via the §5.1
     /// planner: the planner picks the mesh, then the candidate builder
@@ -270,20 +497,9 @@ impl TraceQuery {
     /// [`QueryError`] on an unknown model name or an infeasible
     /// (model, gpus, seq) combination.
     pub fn to_step(&self) -> Result<crate::step::StepModel, QueryError> {
-        use crate::planner::{candidate_step, plan, PlannerInput};
-        use llm_model::TransformerConfig;
-        let model = match self.model.as_str() {
-            "405b" => TransformerConfig::llama3_405b(),
-            "70b" => TransformerConfig::llama3_70b(),
-            "8b" => TransformerConfig::llama3_8b(),
-            other => {
-                return Err(QueryError::new(format!(
-                    "unknown model {other:?} (want 405b|70b|8b)"
-                )))
-            }
-        };
+        use crate::planner::{candidate_step, plan};
         let mut input = PlannerInput::llama3_405b(self.gpus, self.seq);
-        input.model = model;
+        input.model = model_config(&self.model)?;
         let p = plan(&input).map_err(|e| QueryError::new(format!("trace: {e}")))?;
         let (step, _bs) = candidate_step(&input, p.mesh.tp(), p.mesh.cp(), p.mesh.pp())
             .ok_or_else(|| QueryError::new("trace: planned mesh is not admissible"))?;
@@ -346,19 +562,34 @@ impl Default for InferQuery {
     }
 }
 
-impl InferQuery {
-    fn config(&self) -> Result<llm_model::TransformerConfig, QueryError> {
-        use llm_model::TransformerConfig;
-        match self.model.as_str() {
-            "405b" => Ok(TransformerConfig::llama3_405b()),
-            "70b" => Ok(TransformerConfig::llama3_70b()),
-            "8b" => Ok(TransformerConfig::llama3_8b()),
-            other => Err(QueryError::new(format!(
-                "unknown model {other:?} (want 405b|70b|8b)"
-            ))),
-        }
-    }
+impl Fields for InferQuery {
+    const FIELDS: &'static [Field<InferQuery>] = &[
+        model_field!(),
+        num_field!("gpus", gpus),
+        num_field!("tp", tp),
+        num_field!("pp", pp),
+        tag_field!(
+            "traffic",
+            Cli::Opt("traffic"),
+            traffic,
+            TrafficShape::parse,
+            "traffic: unknown shape {:?} (want steady|diurnal|bursty)"
+        ),
+        num_field!("rpd", requests_per_day),
+        num_field!("horizon", Cli::Opt("horizon-s"), horizon_s),
+        num_field!("seed", seed),
+        num_field!("block", block),
+        num_field!("batch", Cli::Opt("max-batch"), max_batch),
+        num_field!("slo_ttft", Cli::Opt("slo-ttft-ms"), slo_ttft_ms),
+        num_field!("slo_tpot", Cli::Opt("slo-tpot-ms"), slo_tpot_ms),
+        Field {
+            hint: true,
+            ..num_field!("threads", threads)
+        },
+    ];
+}
 
+impl InferQuery {
     /// Resolves the query to an [`InferenceModel`]: explicit `tp`/`pp`
     /// when given, otherwise [`InferPlan::auto`], with replicas filling
     /// the fleet.
@@ -367,7 +598,7 @@ impl InferQuery {
     /// [`QueryError`] on an unknown model, an infeasible mesh, or a
     /// fleet smaller than one replica.
     pub fn to_model(&self) -> Result<InferenceModel, QueryError> {
-        let cfg = self.config()?;
+        let cfg = model_config(&self.model)?;
         let gpu = cluster_model::gpu::GpuSpec::h100_sxm_hbm3();
         let gpus_per_node = 8;
         let plan = if self.tp > 0 || self.pp > 0 {
@@ -435,22 +666,114 @@ fn zero_tag(z: ZeroMode) -> &'static str {
     }
 }
 
+/// Parses a ZeRO mode list, keeping its order. A repeated mode is
+/// rejected: it would enumerate every candidate twice.
 fn parse_zero(s: &str) -> Result<Vec<ZeroMode>, QueryError> {
-    s.split(',')
-        .map(|m| match m.trim() {
-            "zero1" | "1" => Ok(ZeroMode::Zero1),
-            "zero2" | "2" => Ok(ZeroMode::Zero2),
-            "zero3" | "3" => Ok(ZeroMode::Zero3),
-            other => Err(QueryError::new(format!(
-                "zero: unknown mode {other:?} (want zero1|zero2|zero3)"
-            ))),
-        })
-        .collect()
+    let mut modes = Vec::new();
+    for m in s.split(',') {
+        let mode = match m.trim() {
+            "zero1" | "1" => ZeroMode::Zero1,
+            "zero2" | "2" => ZeroMode::Zero2,
+            "zero3" | "3" => ZeroMode::Zero3,
+            other => {
+                return Err(QueryError::new(format!(
+                    "zero: unknown mode {other:?} (want zero1|zero2|zero3)"
+                )))
+            }
+        };
+        if modes.contains(&mode) {
+            return Err(QueryError::new(format!(
+                "zero: mode {} repeated in {s:?}",
+                zero_tag(mode)
+            )));
+        }
+        modes.push(mode);
+    }
+    Ok(modes)
 }
 
 fn parse_num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, QueryError> {
     v.parse()
         .map_err(|_| QueryError::new(format!("{key}: bad number {v:?}")))
+}
+
+/// Parses exactly `N` comma-separated numbers; `None` if the count is
+/// wrong or any part is not a number.
+fn parse_list<T: std::str::FromStr, const N: usize>(v: &str) -> Option<[T; N]> {
+    let parts: Vec<T> = v
+        .split(',')
+        .map(str::parse)
+        .collect::<Result<_, _>>()
+        .ok()?;
+    parts.try_into().ok()
+}
+
+fn push_kv(out: &mut String, key: &str, value: &str) {
+    out.push(' ');
+    out.push_str(key);
+    out.push('=');
+    out.push_str(value);
+}
+
+/// Appends `q`'s non-default keys in table order; `canonical` leaves
+/// out the execution hints.
+fn render_fields<Q: Fields>(q: &Q, canonical: bool, out: &mut String) {
+    let d = Q::default();
+    for f in Q::FIELDS {
+        if canonical && f.hint {
+            continue;
+        }
+        if let Some(v) = (f.render)(q, &d) {
+            push_kv(out, f.key, &v);
+        }
+    }
+}
+
+/// Builds a payload from its wire pairs, rejecting keys its table does
+/// not declare.
+fn parse_fields<Q: Fields>(kind: &str, pairs: &[(&str, &str)]) -> Result<Q, QueryError> {
+    let mut q = Q::default();
+    for &(k, v) in pairs {
+        let field = Q::FIELDS
+            .iter()
+            .find(|f| f.key == k)
+            .ok_or_else(|| QueryError::new(format!("{kind}: unknown key {k:?}")))?;
+        (field.parse)(&mut q, v)?;
+    }
+    Ok(q)
+}
+
+/// Turns `--flag VALUE` and bare `--switch` arguments into wire tokens
+/// through `Q`'s table. A `0x` hex value becomes decimal here: hex is a
+/// CLI convenience for seeds, and the wire stays decimal.
+fn push_flags<Q: Fields>(args: &[String], out: &mut String) -> Result<(), QueryError> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let field = arg
+            .strip_prefix("--")
+            .and_then(|name| {
+                Q::FIELDS
+                    .iter()
+                    .find(|f| matches!(f.cli, Cli::Opt(n) | Cli::Switch(n) if n == name))
+            })
+            .ok_or_else(|| QueryError::new(format!("unrecognized argument {arg:?}")))?;
+        if let Cli::Switch(_) = field.cli {
+            push_kv(out, field.key, "true");
+            continue;
+        }
+        let v = args
+            .next()
+            .ok_or_else(|| QueryError::new(format!("{arg} requires a value")))?;
+        if v.is_empty() || v.contains(char::is_whitespace) {
+            return Err(QueryError::new(format!("{arg}: bad value {v:?}")));
+        }
+        let hex = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X"));
+        match hex.and_then(|h| u64::from_str_radix(h, 16).ok()) {
+            Some(n) => push_kv(out, field.key, &n.to_string()),
+            None => push_kv(out, field.key, v),
+        }
+    }
+    Ok(())
 }
 
 impl Query {
@@ -472,169 +795,38 @@ impl Query {
     /// at their default value are omitted; key order is fixed, so the
     /// encoding is injective over semantically distinct queries.
     pub fn to_wire(&self) -> String {
-        let mut out = format!("{WIRE_MAGIC} {}", self.kind());
-        let mut kv = |k: &str, v: String| {
-            out.push(' ');
-            out.push_str(k);
-            out.push('=');
-            out.push_str(&v);
-        };
-        match self {
-            Query::Analyze(mode) => match mode {
-                AnalyzeMode::List => kv("mode", "list".into()),
-                AnalyzeMode::Config(name) => {
-                    kv("mode", "config".into());
-                    kv("config", name.clone());
-                }
-                AnalyzeMode::Grid => kv("mode", "grid".into()),
-                AnalyzeMode::GridIndex(i) => {
-                    kv("mode", "grid_index".into());
-                    kv("index", i.to_string());
-                }
-            },
-            Query::Fuzz(f) => {
-                let d = FuzzQuery::default();
-                if f.cases != d.cases {
-                    kv("cases", f.cases.to_string());
-                }
-                if f.seed != d.seed {
-                    kv("seed", f.seed.to_string());
-                }
-            }
-            Query::Bench | Query::Goodput | Query::Stats => {}
-            Query::Search(s) => {
-                let d = SearchQuery::default();
-                if s.model != d.model {
-                    kv("model", s.model.clone());
-                }
-                if s.gpus != d.gpus {
-                    kv("gpus", s.gpus.to_string());
-                }
-                if s.seq != d.seq {
-                    kv("seq", s.seq.to_string());
-                }
-                if s.layers != d.layers {
-                    kv("layers", s.layers.to_string());
-                }
-                if s.budget != d.budget {
-                    kv("budget", s.budget.to_string());
-                }
-                if s.goodput_head != d.goodput_head {
-                    kv("head", s.goodput_head.to_string());
-                }
-                if s.threads != d.threads {
-                    kv("threads", s.threads.to_string());
-                }
-                if s.max_cp != d.max_cp {
-                    kv("max_cp", s.max_cp.to_string());
-                }
-                if !s.zero.is_empty() {
-                    let list: Vec<&str> = s.zero.iter().map(|&z| zero_tag(z)).collect();
-                    kv("zero", list.join(","));
-                }
-                if let Some((tp, cp, pp, dp)) = s.expect {
-                    kv("expect", format!("{tp},{cp},{pp},{dp}"));
-                }
-                if s.guided {
-                    kv("guided", "true".into());
-                }
-                if s.workload != d.workload {
-                    kv("workload", s.workload.tag().into());
-                }
-            }
-            Query::Trace(t) => {
-                let d = TraceQuery::default();
-                if t.model != d.model {
-                    kv("model", t.model.clone());
-                }
-                if t.gpus != d.gpus {
-                    kv("gpus", t.gpus.to_string());
-                }
-                if t.seq != d.seq {
-                    kv("seq", t.seq.to_string());
-                }
-                if t.horizon_s != d.horizon_s {
-                    kv("horizon", t.horizon_s.to_string());
-                }
-                if t.seed != d.seed {
-                    kv("seed", t.seed.to_string());
-                }
-                if t.tier0 != d.tier0 {
-                    kv("tier0", t.tier0.to_string());
-                }
-                if let Some((t0, t1)) = t.window {
-                    kv("window", format!("{t0},{t1}"));
-                }
-                if t.zoom != d.zoom {
-                    kv("zoom", t.zoom.to_string());
-                }
-                if t.mode != d.mode {
-                    kv("mode", t.mode.tag().into());
-                }
-            }
-            Query::Infer(i) => {
-                let d = InferQuery::default();
-                if i.model != d.model {
-                    kv("model", i.model.clone());
-                }
-                if i.gpus != d.gpus {
-                    kv("gpus", i.gpus.to_string());
-                }
-                if i.tp != d.tp {
-                    kv("tp", i.tp.to_string());
-                }
-                if i.pp != d.pp {
-                    kv("pp", i.pp.to_string());
-                }
-                if i.traffic != d.traffic {
-                    kv("traffic", i.traffic.tag().into());
-                }
-                if i.requests_per_day != d.requests_per_day {
-                    kv("rpd", i.requests_per_day.to_string());
-                }
-                if i.horizon_s != d.horizon_s {
-                    kv("horizon", i.horizon_s.to_string());
-                }
-                if i.seed != d.seed {
-                    kv("seed", i.seed.to_string());
-                }
-                if i.block != d.block {
-                    kv("block", i.block.to_string());
-                }
-                if i.max_batch != d.max_batch {
-                    kv("batch", i.max_batch.to_string());
-                }
-                if i.slo_ttft_ms != d.slo_ttft_ms {
-                    kv("slo_ttft", i.slo_ttft_ms.to_string());
-                }
-                if i.slo_tpot_ms != d.slo_tpot_ms {
-                    kv("slo_tpot", i.slo_tpot_ms.to_string());
-                }
-                if i.threads != d.threads {
-                    kv("threads", i.threads.to_string());
-                }
-            }
-        }
-        out
+        self.encode(false)
     }
 
     /// The canonical wire form: [`Query::to_wire`] with execution
     /// hints (the `threads` knob) normalized out. Two queries describe
     /// the same computation iff their canonical lines are equal.
     pub fn canonical_wire(&self) -> String {
+        self.encode(true)
+    }
+
+    fn encode(&self, canonical: bool) -> String {
+        let mut out = format!("{WIRE_MAGIC} {}", self.kind());
         match self {
-            Query::Search(s) => {
-                let mut c = s.clone();
-                c.threads = 0;
-                Query::Search(c).to_wire()
-            }
-            Query::Infer(i) => {
-                let mut c = i.clone();
-                c.threads = 0;
-                Query::Infer(c).to_wire()
-            }
-            q => q.to_wire(),
+            Query::Analyze(mode) => match mode {
+                AnalyzeMode::List => push_kv(&mut out, "mode", "list"),
+                AnalyzeMode::Config(name) => {
+                    push_kv(&mut out, "mode", "config");
+                    push_kv(&mut out, "config", name);
+                }
+                AnalyzeMode::Grid => push_kv(&mut out, "mode", "grid"),
+                AnalyzeMode::GridIndex(i) => {
+                    push_kv(&mut out, "mode", "grid_index");
+                    push_kv(&mut out, "index", &i.to_string());
+                }
+            },
+            Query::Fuzz(f) => render_fields(f, canonical, &mut out),
+            Query::Search(s) => render_fields(s, canonical, &mut out),
+            Query::Trace(t) => render_fields(t, canonical, &mut out),
+            Query::Infer(i) => render_fields(i, canonical, &mut out),
+            Query::Bench | Query::Goodput | Query::Stats => {}
         }
+        out
     }
 
     /// A stable 64-bit hash (FNV-1a) of the canonical wire form — the
@@ -671,234 +863,81 @@ impl Query {
             }
             pairs.push((k, v));
         }
-        let get = |key: &str| pairs.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
-        let known = |allowed: &[&str]| -> Result<(), QueryError> {
-            for &(k, _) in &pairs {
-                if !allowed.contains(&k) {
-                    return Err(QueryError::new(format!("{kind}: unknown key {k:?}")));
-                }
-            }
-            Ok(())
+        let no_keys = |q: Query| match pairs.first() {
+            Some((k, _)) => Err(QueryError::new(format!("{kind}: unknown key {k:?}"))),
+            None => Ok(q),
         };
         match kind {
-            "analyze" => {
-                known(&["mode", "config", "index"])?;
-                let mode = get("mode").unwrap_or("grid");
-                let mode = match mode {
-                    "list" => AnalyzeMode::List,
-                    "grid" => AnalyzeMode::Grid,
-                    "config" => AnalyzeMode::Config(
-                        get("config")
-                            .ok_or_else(|| QueryError::new("analyze: mode=config wants config=NAME"))?
-                            .to_string(),
-                    ),
-                    "grid_index" => AnalyzeMode::GridIndex(parse_num(
-                        "index",
-                        get("index")
-                            .ok_or_else(|| QueryError::new("analyze: mode=grid_index wants index=N"))?,
-                    )?),
-                    other => {
-                        return Err(QueryError::new(format!(
-                            "analyze: unknown mode {other:?} (want list|config|grid|grid_index)"
-                        )))
-                    }
-                };
-                Ok(Query::Analyze(mode))
-            }
-            "fuzz" => {
-                known(&["cases", "seed"])?;
-                let mut f = FuzzQuery::default();
-                if let Some(v) = get("cases") {
-                    f.cases = parse_num("cases", v)?;
-                }
-                if let Some(v) = get("seed") {
-                    f.seed = parse_num("seed", v)?;
-                }
-                Ok(Query::Fuzz(f))
-            }
-            "bench" => {
-                known(&[])?;
-                Ok(Query::Bench)
-            }
-            "goodput" => {
-                known(&[])?;
-                Ok(Query::Goodput)
-            }
-            "stats" => {
-                known(&[])?;
-                Ok(Query::Stats)
-            }
-            "search" => {
-                known(&[
-                    "model", "gpus", "seq", "layers", "budget", "head", "threads", "max_cp",
-                    "zero", "expect", "guided", "workload",
-                ])?;
-                let mut s = SearchQuery::default();
-                if let Some(v) = get("model") {
-                    s.model = v.to_string();
-                }
-                if let Some(v) = get("gpus") {
-                    s.gpus = parse_num("gpus", v)?;
-                }
-                if let Some(v) = get("seq") {
-                    s.seq = parse_num("seq", v)?;
-                }
-                if let Some(v) = get("layers") {
-                    s.layers = parse_num("layers", v)?;
-                }
-                if let Some(v) = get("budget") {
-                    s.budget = parse_num("budget", v)?;
-                }
-                if let Some(v) = get("head") {
-                    s.goodput_head = parse_num("head", v)?;
-                }
-                if let Some(v) = get("threads") {
-                    s.threads = parse_num("threads", v)?;
-                }
-                if let Some(v) = get("max_cp") {
-                    s.max_cp = parse_num("max_cp", v)?;
-                }
-                if let Some(v) = get("zero") {
-                    s.zero = parse_zero(v)?;
-                }
-                if let Some(v) = get("expect") {
-                    let parts: Vec<u32> =
-                        v.split(',').filter_map(|p| p.trim().parse().ok()).collect();
-                    let [tp, cp, pp, dp] = parts[..] else {
-                        return Err(QueryError::new(format!(
-                            "expect: want tp,cp,pp,dp, got {v:?}"
-                        )));
-                    };
-                    s.expect = Some((tp, cp, pp, dp));
-                }
-                if let Some(v) = get("guided") {
-                    s.guided = match v {
-                        "true" => true,
-                        "false" => false,
-                        other => {
-                            return Err(QueryError::new(format!(
-                                "guided: want true|false, got {other:?}"
-                            )))
-                        }
-                    };
-                }
-                if let Some(v) = get("workload") {
-                    s.workload = Workload::parse(v).ok_or_else(|| {
-                        QueryError::new(format!(
-                            "workload: unknown tag {v:?} (want train|infer)"
-                        ))
-                    })?;
-                }
-                Ok(Query::Search(s))
-            }
-            "trace" => {
-                known(&[
-                    "model", "gpus", "seq", "horizon", "seed", "tier0", "window", "zoom", "mode",
-                ])?;
-                let mut t = TraceQuery::default();
-                if let Some(v) = get("model") {
-                    t.model = v.to_string();
-                }
-                if let Some(v) = get("gpus") {
-                    t.gpus = parse_num("gpus", v)?;
-                }
-                if let Some(v) = get("seq") {
-                    t.seq = parse_num("seq", v)?;
-                }
-                if let Some(v) = get("horizon") {
-                    t.horizon_s = parse_num("horizon", v)?;
-                }
-                if let Some(v) = get("seed") {
-                    t.seed = parse_num("seed", v)?;
-                }
-                if let Some(v) = get("tier0") {
-                    t.tier0 = parse_num("tier0", v)?;
-                }
-                if let Some(v) = get("window") {
-                    let parts: Vec<u64> =
-                        v.split(',').filter_map(|p| p.trim().parse().ok()).collect();
-                    let [t0, t1] = parts[..] else {
-                        return Err(QueryError::new(format!("window: want t0,t1, got {v:?}")));
-                    };
-                    if t0 >= t1 {
-                        return Err(QueryError::new(format!(
-                            "window: t0 must be before t1, got {v:?}"
-                        )));
-                    }
-                    t.window = Some((t0, t1));
-                }
-                if let Some(v) = get("zoom") {
-                    t.zoom = parse_num("zoom", v)?;
-                }
-                if let Some(v) = get("mode") {
-                    t.mode = match v {
-                        "chrome" => TraceMode::Chrome,
-                        "stats" => TraceMode::Stats,
-                        "smoke" => TraceMode::Smoke,
-                        other => {
-                            return Err(QueryError::new(format!(
-                                "trace: unknown mode {other:?} (want chrome|stats|smoke)"
-                            )))
-                        }
-                    };
-                }
-                Ok(Query::Trace(t))
-            }
-            "infer" => {
-                known(&[
-                    "model", "gpus", "tp", "pp", "traffic", "rpd", "horizon", "seed", "block",
-                    "batch", "slo_ttft", "slo_tpot", "threads",
-                ])?;
-                let mut i = InferQuery::default();
-                if let Some(v) = get("model") {
-                    i.model = v.to_string();
-                }
-                if let Some(v) = get("gpus") {
-                    i.gpus = parse_num("gpus", v)?;
-                }
-                if let Some(v) = get("tp") {
-                    i.tp = parse_num("tp", v)?;
-                }
-                if let Some(v) = get("pp") {
-                    i.pp = parse_num("pp", v)?;
-                }
-                if let Some(v) = get("traffic") {
-                    i.traffic = TrafficShape::parse(v).ok_or_else(|| {
-                        QueryError::new(format!(
-                            "traffic: unknown shape {v:?} (want steady|diurnal|bursty)"
-                        ))
-                    })?;
-                }
-                if let Some(v) = get("rpd") {
-                    i.requests_per_day = parse_num("rpd", v)?;
-                }
-                if let Some(v) = get("horizon") {
-                    i.horizon_s = parse_num("horizon", v)?;
-                }
-                if let Some(v) = get("seed") {
-                    i.seed = parse_num("seed", v)?;
-                }
-                if let Some(v) = get("block") {
-                    i.block = parse_num("block", v)?;
-                }
-                if let Some(v) = get("batch") {
-                    i.max_batch = parse_num("batch", v)?;
-                }
-                if let Some(v) = get("slo_ttft") {
-                    i.slo_ttft_ms = parse_num("slo_ttft", v)?;
-                }
-                if let Some(v) = get("slo_tpot") {
-                    i.slo_tpot_ms = parse_num("slo_tpot", v)?;
-                }
-                if let Some(v) = get("threads") {
-                    i.threads = parse_num("threads", v)?;
-                }
-                Ok(Query::Infer(i))
-            }
+            "analyze" => parse_analyze(&pairs).map(Query::Analyze),
+            "fuzz" => parse_fields(kind, &pairs).map(Query::Fuzz),
+            "bench" => no_keys(Query::Bench),
+            "goodput" => no_keys(Query::Goodput),
+            "stats" => no_keys(Query::Stats),
+            "search" => parse_fields(kind, &pairs).map(Query::Search),
+            "trace" => parse_fields(kind, &pairs).map(Query::Trace),
+            "infer" => parse_fields(kind, &pairs).map(Query::Infer),
             other => Err(QueryError::new(format!(
                 "unknown query kind {other:?} (want analyze|fuzz|bench|goodput|search|stats|trace|infer)"
             ))),
         }
+    }
+
+    /// Parses the flags of `llama3sim <kind>` (`fuzz`, `search`,
+    /// `trace` or `infer`). Each `--flag VALUE` or bare `--switch`
+    /// becomes its `key=value` wire token through the kind's field
+    /// table; `extra` holds wire tokens the caller derived from
+    /// CLI-only switches (such as `mode=stats`). The line then goes
+    /// through [`Query::parse_wire`], so the CLI and the wire share one
+    /// parser.
+    ///
+    /// # Errors
+    /// [`QueryError`] on an unrecognized flag, a missing or malformed
+    /// value, or anything [`Query::parse_wire`] rejects.
+    pub fn parse_cli(kind: &str, args: &[String], extra: &[&str]) -> Result<Query, QueryError> {
+        let mut line = format!("{WIRE_MAGIC} {kind}");
+        match kind {
+            "fuzz" => push_flags::<FuzzQuery>(args, &mut line)?,
+            "search" => push_flags::<SearchQuery>(args, &mut line)?,
+            "trace" => push_flags::<TraceQuery>(args, &mut line)?,
+            "infer" => push_flags::<InferQuery>(args, &mut line)?,
+            other => {
+                return Err(QueryError::new(format!(
+                    "no command-line form for query kind {other:?}"
+                )))
+            }
+        }
+        for token in extra {
+            line.push(' ');
+            line.push_str(token);
+        }
+        Query::parse_wire(&line)
+    }
+}
+
+/// Decodes the `analyze` keys. Unlike the table-declared kinds, which
+/// key is required depends on the mode.
+fn parse_analyze(pairs: &[(&str, &str)]) -> Result<AnalyzeMode, QueryError> {
+    if let Some((k, _)) = pairs
+        .iter()
+        .find(|(k, _)| !["mode", "config", "index"].contains(k))
+    {
+        return Err(QueryError::new(format!("analyze: unknown key {k:?}")));
+    }
+    let get = |key: &str| pairs.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v);
+    match get("mode").unwrap_or("grid") {
+        "list" => Ok(AnalyzeMode::List),
+        "grid" => Ok(AnalyzeMode::Grid),
+        "config" => get("config")
+            .map(|name| AnalyzeMode::Config(name.to_string()))
+            .ok_or_else(|| QueryError::new("analyze: mode=config wants config=NAME")),
+        "grid_index" => {
+            let index = get("index")
+                .ok_or_else(|| QueryError::new("analyze: mode=grid_index wants index=N"))?;
+            parse_num("index", index).map(AnalyzeMode::GridIndex)
+        }
+        other => Err(QueryError::new(format!(
+            "analyze: unknown mode {other:?} (want list|config|grid|grid_index)"
+        ))),
     }
 }
 
@@ -1362,77 +1401,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wire_round_trips_every_kind() {
-        let queries = [
-            Query::Analyze(AnalyzeMode::List),
-            Query::Analyze(AnalyzeMode::Grid),
-            Query::Analyze(AnalyzeMode::Config("scaled_405b".into())),
-            Query::Analyze(AnalyzeMode::GridIndex(17)),
-            Query::Fuzz(FuzzQuery { cases: 40, seed: 7 }),
-            Query::Fuzz(FuzzQuery::default()),
-            Query::Bench,
-            Query::Goodput,
-            Query::Stats,
-            Query::Search(SearchQuery::default()),
-            Query::Search(SearchQuery {
-                model: "8b".into(),
-                gpus: 8,
-                seq: 8192,
-                layers: 4,
-                budget: 131_072,
-                goodput_head: 2,
-                threads: 3,
-                max_cp: 2,
-                zero: vec![ZeroMode::Zero1, ZeroMode::Zero3],
-                expect: Some((2, 1, 2, 2)),
-                guided: true,
-                workload: Workload::Training,
-            }),
-            Query::Trace(TraceQuery::default()),
-            Query::Trace(TraceQuery {
-                model: "8b".into(),
-                gpus: 8,
-                seq: 8192,
-                horizon_s: 3600,
-                seed: 9,
-                tier0: 128,
-                window: Some((100, 160)),
-                zoom: 2,
-                mode: TraceMode::Stats,
-            }),
-            Query::Trace(TraceQuery {
-                mode: TraceMode::Smoke,
-                ..TraceQuery::default()
-            }),
-            Query::Infer(InferQuery::default()),
-            Query::Infer(InferQuery {
-                model: "8b".into(),
-                gpus: 16,
-                tp: 2,
-                pp: 2,
-                traffic: TrafficShape::Bursty,
-                requests_per_day: 50_000,
-                horizon_s: 3_600,
-                seed: 9,
-                block: 32,
-                max_batch: 64,
-                slo_ttft_ms: 500,
-                slo_tpot_ms: 50,
-                threads: 2,
-            }),
-            Query::Search(SearchQuery {
-                workload: Workload::Inference,
-                ..SearchQuery::default()
-            }),
-        ];
-        for q in queries {
-            let wire = q.to_wire();
-            let back = Query::parse_wire(&wire).unwrap_or_else(|e| panic!("{wire}: {e}"));
-            assert_eq!(back, q, "{wire}");
-        }
-    }
-
-    #[test]
     fn canonical_hash_ignores_execution_hints() {
         let a = Query::Search(SearchQuery {
             threads: 1,
@@ -1468,9 +1436,18 @@ mod tests {
 
     #[test]
     fn defaults_are_omitted_from_the_wire() {
-        assert_eq!(Query::Search(SearchQuery::default()).to_wire(), "llama3sim/1 search");
-        assert_eq!(Query::Fuzz(FuzzQuery::default()).to_wire(), "llama3sim/1 fuzz");
-        assert_eq!(Query::Infer(InferQuery::default()).to_wire(), "llama3sim/1 infer");
+        assert_eq!(
+            Query::Search(SearchQuery::default()).to_wire(),
+            "llama3sim/1 search"
+        );
+        assert_eq!(
+            Query::Fuzz(FuzzQuery::default()).to_wire(),
+            "llama3sim/1 fuzz"
+        );
+        assert_eq!(
+            Query::Infer(InferQuery::default()).to_wire(),
+            "llama3sim/1 infer"
+        );
         assert_eq!(
             Query::parse_wire("llama3sim/1 search").unwrap(),
             Query::Search(SearchQuery::default())
@@ -1532,8 +1509,414 @@ mod tests {
             "llama3sim/1 infer gpus=x",
             "llama3sim/1 infer bogus=1",
             "llama3sim/1 infer rpd=1 rpd=1",
+            // Every part of a list value must parse.
+            "llama3sim/1 search expect=1,x,1,1,8",
+            "llama3sim/1 search expect=8,1,16,",
+            "llama3sim/1 trace window=100,abc,160",
+            "llama3sim/1 trace window=,160",
+            // A repeated ZeRO mode would enumerate every candidate twice.
+            "llama3sim/1 search zero=zero1,zero1",
+            "llama3sim/1 search zero=zero1,zero3,1",
         ] {
             assert!(Query::parse_wire(bad).is_err(), "{bad:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn repeated_zero_mode_is_named_and_order_is_kept() {
+        let err = Query::parse_wire("llama3sim/1 search zero=zero2,zero1,zero2").unwrap_err();
+        assert!(err.message.contains("zero2 repeated"), "{err}");
+        let Query::Search(s) = Query::parse_wire("llama3sim/1 search zero=zero3,zero1").unwrap()
+        else {
+            panic!("expected a search query");
+        };
+        assert_eq!(s.zero, vec![ZeroMode::Zero3, ZeroMode::Zero1]);
+    }
+
+    fn cli(kind: &str, args: &[&str], extra: &[&str]) -> Result<Query, QueryError> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        Query::parse_cli(kind, &args, extra)
+    }
+
+    #[test]
+    fn cli_flags_parse_the_full_surface() {
+        let search = cli(
+            "search",
+            &[
+                "--model",
+                "8b",
+                "--gpus",
+                "16",
+                "--seq",
+                "4096",
+                "--layers",
+                "4",
+                "--budget",
+                "65536",
+                "--expect",
+                "2,1,2,4",
+                "--goodput-head",
+                "3",
+                "--threads",
+                "2",
+                "--max-cp",
+                "2",
+                "--zero",
+                "zero1,zero3",
+                "--workload",
+                "infer",
+                "--guided",
+            ],
+            &[],
+        )
+        .unwrap();
+        assert_eq!(
+            search,
+            Query::Search(SearchQuery {
+                model: "8b".into(),
+                gpus: 16,
+                seq: 4096,
+                layers: 4,
+                budget: 65_536,
+                goodput_head: 3,
+                threads: 2,
+                max_cp: 2,
+                zero: vec![ZeroMode::Zero1, ZeroMode::Zero3],
+                expect: Some((2, 1, 2, 4)),
+                guided: true,
+                workload: Workload::Inference,
+            })
+        );
+        let Query::Search(q) = &search else {
+            unreachable!()
+        };
+        let spec = q.to_spec().unwrap();
+        assert_eq!(spec.input.ngpu, 16);
+        assert_eq!(spec.strategy, SearchStrategy::Guided);
+        assert_eq!(
+            cli("search", &[], &[]).unwrap(),
+            Query::Search(SearchQuery::default())
+        );
+
+        let infer = cli(
+            "infer",
+            &[
+                "--model",
+                "8b",
+                "--gpus",
+                "16",
+                "--tp",
+                "2",
+                "--pp",
+                "2",
+                "--traffic",
+                "bursty",
+                "--rpd",
+                "50000",
+                "--horizon-s",
+                "3600",
+                "--seed",
+                "0x9",
+                "--block",
+                "32",
+                "--max-batch",
+                "64",
+                "--slo-ttft-ms",
+                "500",
+                "--slo-tpot-ms",
+                "50",
+                "--threads",
+                "2",
+            ],
+            &[],
+        )
+        .unwrap();
+        assert_eq!(
+            infer,
+            Query::Infer(InferQuery {
+                model: "8b".into(),
+                gpus: 16,
+                tp: 2,
+                pp: 2,
+                traffic: TrafficShape::Bursty,
+                requests_per_day: 50_000,
+                horizon_s: 3_600,
+                seed: 9,
+                block: 32,
+                max_batch: 64,
+                slo_ttft_ms: 500,
+                slo_tpot_ms: 50,
+                threads: 2,
+            })
+        );
+
+        let trace = cli(
+            "trace",
+            &[
+                "--model",
+                "8b",
+                "--gpus",
+                "8",
+                "--seq",
+                "4096",
+                "--horizon-s",
+                "3600",
+                "--seed",
+                "0xC0FFEE",
+                "--tier0",
+                "128",
+                "--window",
+                "100,160",
+                "--zoom",
+                "2",
+            ],
+            &["mode=stats"],
+        )
+        .unwrap();
+        assert_eq!(
+            trace,
+            Query::Trace(TraceQuery {
+                model: "8b".into(),
+                gpus: 8,
+                seq: 4096,
+                horizon_s: 3600,
+                seed: 12_648_430,
+                tier0: 128,
+                window: Some((100, 160)),
+                zoom: 2,
+                mode: TraceMode::Stats,
+            })
+        );
+        // Hex is a CLI convenience; the wire stays decimal.
+        assert!(
+            trace.to_wire().contains(" seed=12648430 "),
+            "{}",
+            trace.to_wire()
+        );
+
+        assert_eq!(
+            cli("fuzz", &["--cases", "200", "--seed", "0xC0FFEE"], &[]).unwrap(),
+            Query::Fuzz(FuzzQuery {
+                cases: 200,
+                seed: 12_648_430
+            })
+        );
+    }
+
+    #[test]
+    fn bad_cli_flags_are_rejected() {
+        for (kind, args) in [
+            ("search", &["--expect", "8,1,16"][..]),
+            ("search", &["--expect", "1,x,1,1,8"]),
+            ("search", &["--frontier"]),
+            ("search", &["--zero", "zero4"]),
+            ("search", &["--zero", "zero1,zero1"]),
+            ("search", &["--gpus"]),
+            ("search", &["--gpus", "lots"]),
+            ("search", &["--gpus", "99999999999"]),
+            ("search", &["--gpus", "8", "--gpus", "8"]),
+            ("search", &["--head", "2"]),
+            ("search", &["--model", "8b gpus=4"]),
+            ("search", &["gpus", "8"]),
+            ("infer", &["--traffic", "nope"]),
+            ("infer", &["--grid"]),
+            ("infer", &["--horizon", "60"]),
+            ("trace", &["--window", "100,abc,160"]),
+            ("trace", &["--window", "9,3"]),
+            ("trace", &["--mode", "stats"]),
+            ("trace", &["--json"]),
+            ("fuzz", &["--seed", "0xZZ"]),
+            ("analyze", &["--list"]),
+        ] {
+            assert!(
+                cli(kind, args, &[]).is_err(),
+                "{kind} {args:?} should not parse"
+            );
+        }
+        // An unknown model parses; it is rejected when the query resolves.
+        let Query::Search(q) = cli("search", &["--model", "1t"], &[]).unwrap() else {
+            unreachable!()
+        };
+        assert!(q.to_spec().is_err());
+    }
+
+    /// Sampling helpers over the vendored proptest stream.
+    struct Rng(proptest::test_runner::TestRng);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0.next_u64() % n
+        }
+
+        fn coin(&mut self) -> bool {
+            self.below(2) == 0
+        }
+
+        /// Half the time the default, otherwise a small or a huge value.
+        fn num<T: TryFrom<u64>>(&mut self, default: T) -> T {
+            match self.below(4) {
+                0 | 1 => default,
+                2 => T::try_from(self.below(100)).ok().unwrap_or(default),
+                _ => T::try_from(self.0.next_u64() >> self.below(64))
+                    .ok()
+                    .unwrap_or(default),
+            }
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len() as u64) as usize]
+        }
+    }
+
+    fn random_query(rng: &mut Rng) -> Query {
+        let model = ["405b", "70b", "8b", "1t"][rng.below(4) as usize].to_string();
+        match rng.below(8) {
+            0 => Query::Analyze(match rng.below(4) {
+                0 => AnalyzeMode::List,
+                1 => AnalyzeMode::Grid,
+                2 => AnalyzeMode::Config(format!("cfg_{}", rng.below(100))),
+                _ => AnalyzeMode::GridIndex(rng.num(0)),
+            }),
+            1 => Query::Fuzz(FuzzQuery {
+                cases: rng.num(500),
+                seed: rng.num(1),
+            }),
+            2 => [Query::Bench, Query::Goodput, Query::Stats][rng.below(3) as usize].clone(),
+            3 => {
+                let mut zero = Vec::new();
+                for z in [ZeroMode::Zero1, ZeroMode::Zero2, ZeroMode::Zero3] {
+                    if rng.coin() {
+                        zero.insert(rng.below(zero.len() as u64 + 1) as usize, z);
+                    }
+                }
+                Query::Search(SearchQuery {
+                    model,
+                    gpus: rng.num(16_384),
+                    seq: rng.num(8_192),
+                    layers: rng.num(0),
+                    budget: rng.num(0),
+                    goodput_head: rng.num(0),
+                    threads: rng.num(0),
+                    max_cp: rng.num(0),
+                    zero,
+                    expect: rng
+                        .coin()
+                        .then(|| (rng.num(8), rng.num(1), rng.num(16), rng.num(128))),
+                    guided: rng.coin(),
+                    workload: rng.pick(&[Workload::Training, Workload::Inference]),
+                })
+            }
+            4 | 5 => {
+                let t0: u64 = rng.num(0);
+                Query::Trace(TraceQuery {
+                    model,
+                    gpus: rng.num(16_384),
+                    seq: rng.num(8_192),
+                    horizon_s: rng.num(86_400),
+                    seed: rng.num(DEFAULT_TRACE_SEED),
+                    tier0: rng.num(4_096),
+                    window: (rng.coin() && t0 < u64::MAX).then(|| (t0, t0 + 1 + rng.below(1000))),
+                    zoom: rng.num(0),
+                    mode: rng.pick(&[TraceMode::Chrome, TraceMode::Stats, TraceMode::Smoke]),
+                })
+            }
+            _ => Query::Infer(InferQuery {
+                model,
+                gpus: rng.num(16_384),
+                tp: rng.num(0),
+                pp: rng.num(0),
+                traffic: rng.pick(&TrafficShape::ALL),
+                requests_per_day: rng.num(1_000_000),
+                horizon_s: rng.num(86_400),
+                seed: rng.num(1),
+                block: rng.num(16),
+                max_batch: rng.num(256),
+                slo_ttft_ms: rng.num(2_000),
+                slo_tpot_ms: rng.num(100),
+                threads: rng.num(0),
+            }),
+        }
+    }
+
+    /// A parse of an arbitrary line must not panic, and whatever parses
+    /// must re-encode to a line that parses back to the same query.
+    fn parses_stably(line: &str) {
+        if let Ok(q) = Query::parse_wire(line) {
+            let wire = q.to_wire();
+            assert_eq!(
+                Query::parse_wire(&wire).as_ref(),
+                Ok(&q),
+                "{line:?} -> {wire:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn codec_round_trips_seeded_random_queries_and_survives_mutation() {
+        let mut rng = Rng(proptest::test_runner::TestRng::new(0xC0DEC));
+        for _ in 0..2_000 {
+            let q = random_query(&mut rng);
+            let wire = q.to_wire();
+            assert_eq!(Query::parse_wire(&wire).as_ref(), Ok(&q), "{wire}");
+
+            // `threads` is an execution hint: the canonical form drops it.
+            let mut hinted = q.clone();
+            match &mut hinted {
+                Query::Search(s) => s.threads = 7,
+                Query::Infer(i) => i.threads = 7,
+                _ => {}
+            }
+            assert_eq!(hinted.canonical_wire(), q.canonical_wire());
+            assert_eq!(hinted.canonical_hash(), q.canonical_hash());
+            assert!(!q.canonical_wire().contains("threads="));
+
+            // Truncation at every byte: never a panic. Cutting into
+            // the magic token or dropping the kind is always an error.
+            for cut in 0..=wire.len() {
+                if wire.is_char_boundary(cut) {
+                    parses_stably(&wire[..cut]);
+                }
+            }
+            for cut in 0..WIRE_MAGIC.len() + 1 {
+                assert!(
+                    Query::parse_wire(&wire[..cut]).is_err(),
+                    "{:?}",
+                    &wire[..cut]
+                );
+            }
+
+            // Token drops: losing the magic or the kind is an error;
+            // losing a table-declared pair resets that key to its
+            // default (analyze keys depend on the mode, so they only
+            // have to parse stably).
+            let tokens: Vec<&str> = wire.split(' ').collect();
+            for drop in 0..tokens.len() {
+                let mut kept = tokens.clone();
+                kept.remove(drop);
+                let line = kept.join(" ");
+                if drop < 2 {
+                    assert!(Query::parse_wire(&line).is_err(), "{line:?}");
+                } else if let Query::Analyze(_) = q {
+                    parses_stably(&line);
+                } else {
+                    let back = Query::parse_wire(&line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+                    assert_eq!(back.kind(), q.kind());
+                }
+            }
+
+            // Byte mutations: never a panic; a key=value token whose
+            // '=' is replaced, or a duplicated pair, is always an error.
+            let mut bytes = wire.clone().into_bytes();
+            let at = rng.below(bytes.len() as u64) as usize;
+            bytes[at] = rng.below(128) as u8;
+            parses_stably(&String::from_utf8_lossy(&bytes));
+            if let Some(eq) = wire.find('=') {
+                let mut broken = wire.clone();
+                broken.replace_range(eq..=eq, ":");
+                assert!(Query::parse_wire(&broken).is_err(), "{broken:?}");
+                let pair = tokens[2];
+                assert!(Query::parse_wire(&format!("{wire} {pair}")).is_err());
+            }
         }
     }
 

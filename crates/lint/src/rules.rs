@@ -1,10 +1,12 @@
-//! The repo hygiene rules (`LINT001`–`LINT007`), ported from the
-//! original `repo_lint` binary onto [`SourceModel`] so string literals
-//! and block comments can no longer fool the token scans.
+//! The repo hygiene rules (`LINT001`, `LINT003`–`LINT007`), ported
+//! from the original line-based scanner onto [`SourceModel`] so string
+//! literals and block comments can no longer fool the token scans.
+//! (`LINT002` policed callers of the deprecated `simulate*` wrappers
+//! and was retired with them.)
 //!
 //! Each rule reports a [`Diagnostic`] whose `op` field carries the
 //! 1-based `path:line` location and whose witness is the offending
-//! line; the message texts are the original `repo_lint` contract and
+//! line; the message texts are the original scanner's contract and
 //! are pinned by the golden lint test.
 
 use crate::model::SourceModel;
@@ -12,8 +14,6 @@ use parallelism_core::analyze::{Diagnostic, RuleId};
 
 /// Marker suppressing LINT001 on the same or previous line.
 pub const UNWRAP_MARKER: &str = "lint: allow(unwrap)";
-/// Marker suppressing LINT002 on the same or previous line.
-pub const DEPRECATED_MARKER: &str = "lint: allow(deprecated-sim)";
 /// Marker suppressing LINT003 on the same or previous line.
 pub const CLI_ARGS_MARKER: &str = "lint: allow(cli-args)";
 /// Marker suppressing LINT004 on the same or previous line.
@@ -21,19 +21,10 @@ pub const SCALAR_MARKER: &str = "lint: allow(f64)";
 /// Marker suppressing LINT006 on the same or previous line.
 pub const TRACE_VEC_MARKER: &str = "lint: allow(trace-vec)";
 
-/// Unambiguous method names of the deprecated simulation wrappers.
-/// (`.simulate(` alone is ambiguous — `RunSimulator::simulate` and
-/// `MultimodalStep::simulate` are current API; blanket
-/// `#[allow(deprecated)]` is what would hide a deprecated call to
-/// them, and that is flagged here too.)
-const DEPRECATED_CALLS: [&str; 3] =
-    [".simulate_at(", ".simulate_jittered(", ".simulate_with_trace("];
-
 /// Construction sites of the per-subcommand CLI argument structs.
 /// Declarations (`struct`/`impl`/`fn` headers) and type positions don't
 /// match — only `<Name> {` literal construction does.
-const CLI_ARGS_STRUCTS: [&str; 4] =
-    ["AnalyzeArgs {", "FuzzArgs {", "SnapshotArgs {", "SearchArgs {"];
+const CLI_ARGS_STRUCTS: [&str; 2] = ["AnalyzeArgs {", "SnapshotArgs {"];
 
 /// Modules whose cost expressions must stay generic over `Scalar` —
 /// the LINT004 target set.
@@ -82,7 +73,7 @@ fn finding(rule: RuleId, model: &SourceModel, idx: usize, message: &str) -> Diag
         .with_witness(vec![model.lines()[idx].raw.trim().to_string()])
 }
 
-/// Runs all seven hygiene rules over one file, appending findings.
+/// Runs all six hygiene rules over one file, appending findings.
 pub fn check_hygiene(model: &SourceModel, out: &mut Vec<Diagnostic>) {
     let path = model.path();
     let scalar_costs_module = SCALAR_COST_PATHS.iter().any(|p| path.ends_with(p));
@@ -104,18 +95,6 @@ pub fn check_hygiene(model: &SourceModel, out: &mut Vec<Diagnostic>) {
                 idx,
                 "unwrap/expect in library code (return SimError or add \
                  `// lint: allow(unwrap)` with a reason)",
-            ));
-        }
-
-        let deprecated_use = code.contains("#[allow(deprecated)]")
-            || DEPRECATED_CALLS.iter().any(|c| code.contains(c));
-        if deprecated_use && !model.marked(idx, DEPRECATED_MARKER) {
-            out.push(finding(
-                RuleId::Lint002,
-                model,
-                idx,
-                "internal caller of a deprecated simulate* wrapper (use \
-                 `StepModel::run`, or add `// lint: allow(deprecated-sim)` in oracle code)",
             ));
         }
 
@@ -258,7 +237,7 @@ mod tests {
 
     #[test]
     fn unwrap_inside_a_string_literal_is_not_flagged() {
-        // The original repo_lint flagged this; the SourceModel port is
+        // The original line-based scanner flagged this; the SourceModel port is
         // strictly more precise.
         let v = lint_str("fn f() {\n    let s = \"docs about .unwrap() calls\";\n}\n");
         assert!(v.is_empty(), "{v:?}");
@@ -268,18 +247,6 @@ mod tests {
     fn unwrap_inside_a_block_comment_is_not_flagged() {
         let v = lint_str("fn f() {\n    /* y.unwrap()\n       z.unwrap() */\n    g();\n}\n");
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn flags_deprecated_wrapper_calls_without_marker() {
-        let v = lint_str("fn f(m: &M) {\n    m.simulate_at(SimFidelity::Full);\n}\n");
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::Lint002);
-        assert!(v[0].message.contains("deprecated"));
-        let ok = lint_str(
-            "fn f(m: &M) {\n    // lint: allow(deprecated-sim)\n    m.simulate_at(SimFidelity::Full);\n}\n",
-        );
-        assert!(ok.is_empty());
     }
 
     #[test]
@@ -297,7 +264,7 @@ mod tests {
     #[test]
     fn cli_args_declarations_are_not_construction_sites() {
         let v = lint_str(
-            "pub struct SearchArgs {\n    pub json: bool,\n}\nimpl Default for SearchArgs {\n    fn default() -> SearchArgs {\n        // lint: allow(cli-args) — canonical\n        SearchArgs { json: false }\n    }\n}\n",
+            "pub struct AnalyzeArgs {\n    pub json: bool,\n}\nimpl Default for AnalyzeArgs {\n    fn default() -> AnalyzeArgs {\n        // lint: allow(cli-args) — canonical\n        AnalyzeArgs { json: false }\n    }\n}\n",
         );
         assert!(v.is_empty(), "{v:?}");
     }

@@ -5,10 +5,13 @@
 //! shared [`serve::Dispatcher`] executes it, and the payload prints
 //! through the same [`Response`] renderers the HTTP daemon serves —
 //! so `llama3sim search ...` and `POST /v1/query` are byte-identical
-//! by construction. Flag parsing stays on
-//! [`bench_harness::cli::Flags`] with one `--json` convention
+//! by construction. The `fuzz`, `search`, `infer` and `trace` flags
+//! parse through the query's own field table ([`Query::parse_cli`]),
+//! so each flag is the CLI spelling of one wire key. Only CLI-only
+//! switches go through [`bench_harness::cli::Flags`]: `--json`
 //! (machine-readable output on stdout in addition to the
-//! `BENCH_*.json` envelope files the snapshot commands write):
+//! `BENCH_*.json` envelope files the snapshot commands write),
+//! `--grid`, and `--stats`/`--smoke`, which set the trace `mode` key:
 //!
 //! ```text
 //! llama3sim analyze  --list | --config NAME [--json] | --grid [--json]
@@ -33,20 +36,16 @@
 //!                    [--bench [--clients N] [--json]]
 //! llama3sim lint     [--json]
 //! ```
-//!
-//! The old single-purpose bins (`analyze`, `conformance_fuzz`,
-//! `perf_snapshot`, `goodput_snapshot`) remain as deprecated shims
-//! that print a pointer here and delegate to the same library entry
-//! points.
 
 use analyzer::cli::{self as analyze_cli, AnalyzeArgs};
 use bench_harness::cli::Flags;
 use bench_harness::snapshot::{
-    emit, goodput_envelope, perf_envelope, run_infer, search_envelope, trace_envelope, InferArgs,
-    SearchArgs, SnapshotArgs, TraceArgs,
+    emit, goodput_envelope, infer_envelope, perf_envelope, search_envelope, trace_envelope,
+    SnapshotArgs,
 };
-use conformance::fuzz::{run_sweep, FuzzArgs};
-use parallelism_core::query::{AnalyzeMode, Query, Response};
+use conformance::fuzz::run_sweep;
+use parallelism_core::query::{AnalyzeMode, InferQuery, Query, Response};
+use parallelism_core::TrafficShape;
 use serve::cli::ServeArgs;
 use serve::Dispatcher;
 use std::time::Instant;
@@ -93,17 +92,9 @@ fn usage() -> i32 {
     2
 }
 
-fn parse_fuzz(args: &[String]) -> Result<FuzzArgs, String> {
-    let mut f = Flags::new(args);
-    let mut parsed = FuzzArgs::default();
-    if let Some(c) = f.opt_u64("cases")? {
-        parsed.cases = c;
-    }
-    if let Some(s) = f.opt_u64("seed")? {
-        parsed.seed = s;
-    }
-    f.finish()?;
-    Ok(parsed)
+/// Parses a subcommand's flags into its query (see [`Query::parse_cli`]).
+fn parse_query(kind: &str, args: &[String], extra: &[&str]) -> Result<Query, String> {
+    Query::parse_cli(kind, args, extra).map_err(|e| e.message)
 }
 
 fn run_analyze(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
@@ -138,7 +129,9 @@ fn run_analyze(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
 }
 
 fn run_fuzz(rest: &[String]) -> Result<i32, String> {
-    let args = parse_fuzz(rest)?;
+    let Query::Fuzz(args) = parse_query("fuzz", rest, &[])? else {
+        return Err("fuzz flags parsed to a non-fuzz query".to_string());
+    };
     // The heartbeat streams to stderr mid-sweep, which a one-shot
     // dispatch cannot carry, so the CLI drives the sweep itself and
     // renders through the same response type the dispatcher returns.
@@ -178,8 +171,11 @@ fn run_goodput(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
 }
 
 fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
-    let args = SearchArgs::parse(rest)?;
-    let query = args.to_query();
+    let mut f = Flags::new(rest);
+    let json = f.switch("json");
+    let Query::Search(query) = parse_query("search", &f.into_rest(), &[])? else {
+        return Err("search flags parsed to a non-search query".to_string());
+    };
     let t0 = Instant::now();
     let response = match d.dispatch(&Query::Search(query.clone())) {
         Ok(r) => r,
@@ -199,7 +195,7 @@ fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
 
     // With --guided, also time the exhaustive baseline so the snapshot
     // pins the measured speedup and whether the frontiers agree.
-    let baseline = if args.guided {
+    let baseline = if query.guided {
         let mut ex_query = query.clone();
         ex_query.guided = false;
         let t1 = Instant::now();
@@ -236,7 +232,7 @@ fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
     let spec = query.to_spec().map_err(|e| e.to_string())?;
     let mut envelope = search_envelope(&query, &spec, &r.report, wall_ms, baseline);
     let mut code = 0;
-    if let Some((tp, cp, pp, dp)) = args.expect {
+    if let Some((tp, cp, pp, dp)) = query.expect {
         let hit = r.expect_hit == Some(true);
         envelope = envelope.metric("expected_mesh_on_frontier", hit);
         if hit {
@@ -246,12 +242,90 @@ fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
             code = 1;
         }
     }
-    Ok(emit(&envelope, "BENCH_search.json", args.json).max(code))
+    Ok(emit(&envelope, "BENCH_search.json", json).max(code))
+}
+
+/// The `infer` subcommand: price a serving workload (or, with `--grid`,
+/// the full three-shape traffic envelope) and write `BENCH_infer.json`.
+fn run_infer(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
+    let mut f = Flags::new(rest);
+    let json = f.switch("json");
+    let grid = f.switch("grid");
+    let Query::Infer(query) = parse_query("infer", &f.into_rest(), &[])? else {
+        return Err("infer flags parsed to a non-infer query".to_string());
+    };
+    let shapes = if grid {
+        TrafficShape::ALL.to_vec()
+    } else {
+        vec![query.traffic]
+    };
+    let t0 = Instant::now();
+    let mut rows = Vec::with_capacity(shapes.len());
+    for shape in shapes {
+        let q = InferQuery {
+            traffic: shape,
+            ..query.clone()
+        };
+        let r = match d.dispatch(&Query::Infer(q.clone())) {
+            Ok(Response::Infer(r)) => r,
+            Ok(_) => return Err("infer dispatch returned a non-infer response".to_string()),
+            Err(e) => {
+                eprintln!("error: infer: {e}");
+                return Ok(1);
+            }
+        };
+        println!("{}", Response::Infer(r.clone()).render_human());
+        println!();
+        // Grid runs double as the thread-invariance smoke: the first
+        // shape is re-simulated single-threaded and must reproduce the
+        // report bit-identically. The re-run needs a fresh dispatcher:
+        // the canonical hash ignores `threads`, so this one would answer
+        // from its cache.
+        if grid && rows.is_empty() {
+            let serial = InferQuery {
+                threads: 1,
+                ..q.clone()
+            };
+            match Dispatcher::new().dispatch(&Query::Infer(serial)) {
+                Ok(Response::Infer(s)) if s.report == r.report => {
+                    println!("thread-invariance check: serial re-simulation bit-identical");
+                    println!();
+                }
+                Ok(_) => {
+                    eprintln!(
+                        "error: infer: threads=1 re-simulation diverged from threads={}",
+                        q.threads
+                    );
+                    return Ok(1);
+                }
+                Err(e) => {
+                    eprintln!("error: infer: {e}");
+                    return Ok(1);
+                }
+            }
+        }
+        rows.push(*r);
+    }
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    println!("simulated in {wall_ms:.0} ms");
+    let code = i32::from(rows.iter().all(|r| r.report.completed == 0));
+    let envelope = infer_envelope(&query, &rows, wall_ms);
+    Ok(emit(&envelope, "BENCH_infer.json", json).max(code))
 }
 
 fn run_trace(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
-    let args = TraceArgs::parse(rest)?;
-    let response = match d.dispatch(&Query::Trace(args.query.clone())) {
+    let mut f = Flags::new(rest);
+    let json = f.switch("json");
+    let mode = match (f.switch("stats"), f.switch("smoke")) {
+        (false, false) => None,
+        (true, false) => Some("mode=stats"),
+        (false, true) => Some("mode=smoke"),
+        (true, true) => return Err("--stats and --smoke are mutually exclusive".to_string()),
+    };
+    let Query::Trace(query) = parse_query("trace", &f.into_rest(), mode.as_slice())? else {
+        return Err("trace flags parsed to a non-trace query".to_string());
+    };
+    let response = match d.dispatch(&Query::Trace(query.clone())) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
@@ -262,7 +336,7 @@ fn run_trace(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
         return Err("trace dispatch returned a non-trace response".to_string());
     };
     println!("{}", response.render_human());
-    let code = emit(&trace_envelope(&args.query, r), "BENCH_trace.json", args.json);
+    let code = emit(&trace_envelope(&query, r), "BENCH_trace.json", json);
     Ok(code.max(response.exit_code()))
 }
 
@@ -298,7 +372,7 @@ fn dispatch(cmd: &str, rest: &[String]) -> Result<i32, String> {
         "bench" => run_bench(&Dispatcher::new(), rest),
         "goodput" => run_goodput(&Dispatcher::new(), rest),
         "search" => run_search(&Dispatcher::new(), rest),
-        "infer" => Ok(run_infer(&InferArgs::parse(rest)?)),
+        "infer" => run_infer(&Dispatcher::new(), rest),
         "trace" => run_trace(&Dispatcher::new(), rest),
         "serve" => Ok(serve::cli::run(&ServeArgs::parse(rest)?)),
         "lint" => run_lint(rest),

@@ -59,12 +59,9 @@ pub use serve;
 /// the configuration types every example needs.
 ///
 /// Prefer these re-exports over deep module paths
-/// (`llama3_parallelism::core::planner::...`): the deep paths are kept
-/// for backward compatibility but are considered deprecated import
-/// surface — `rustc` ignores `#[deprecated]` on `pub use` items, so
-/// the steering lives here, in the module docs, and in `repo_lint`
-/// rather than in compiler warnings. `examples/` imports everything
-/// simulation-related from this prelude.
+/// (`llama3_parallelism::core::planner::...`): the prelude is the
+/// supported import surface, and `examples/` imports everything
+/// simulation-related from it.
 ///
 /// ```
 /// use llama3_parallelism::prelude::*;

@@ -161,3 +161,21 @@ fn unknown_config_is_a_usage_error() {
     assert_eq!(code, 2);
     assert!(err.starts_with("unknown config `no_such_config`"), "stderr: {err}");
 }
+
+#[test]
+fn malformed_flags_are_usage_errors() {
+    for args in [
+        &["search", "--expect", "1,x,1,1,8"][..],
+        &["search", "--zero", "zero1,zero1"],
+        &["search", "--frontier"],
+        &["trace", "--stats", "--smoke"],
+        &["trace", "--window", "100,abc,160"],
+        &["infer", "--traffic", "nope"],
+        &["fuzz", "--cases", "many"],
+    ] {
+        let (out, err, code) = run_cli(args);
+        assert_eq!(code, 2, "{args:?}: stderr: {err}");
+        assert!(out.is_empty(), "{args:?} ran anyway: {out}");
+        assert!(err.contains("usage: llama3sim <command>"), "{args:?}: stderr: {err}");
+    }
+}
