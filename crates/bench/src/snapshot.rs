@@ -1,49 +1,15 @@
-//! The measurements and `BENCH_*.json` envelopes behind the snapshot
-//! subcommands of `llama3sim` (`bench`, `goodput`, `search`, `infer`,
-//! `trace`).
-//!
-//! The `bench` and `goodput` measurements are the computations the
-//! serve dispatcher runs for `Query::Bench` and `Query::Goodput`; the
-//! envelope builders turn a dispatched response into the
-//! machine-readable [`Report`](crate::report::Report) each subcommand
-//! writes to the working directory. [`emit`] writes it and, with
-//! `--json`, also prints it to stdout after the human text, so scripted
-//! callers need not re-read the file.
+//! The measurements behind the `bench` and `goodput` subcommands of
+//! `llama3sim`: the computations the serve dispatcher runs for
+//! `Query::Bench` and `Query::Goodput`.
 
-use crate::cli::Flags;
 use crate::configs::production_8k_gpu_step;
 use crate::experiments::goodput as goodput_exp;
-use crate::report::Report;
 use parallelism_core::planner::{plan, PlannerInput};
-use parallelism_core::query::{
-    BenchResponse, GoodputResponse, InferQuery, InferResponse, SearchQuery, TraceQuery,
-    TraceResponse,
-};
-use parallelism_core::search::{SearchReport, SearchSpec};
+use parallelism_core::query::{BenchResponse, GoodputResponse};
 use parallelism_core::step::{SimFidelity, SimOptions};
 use sim_engine::fluid::{FluidNet, Transfer};
 use sim_engine::time::SimTime;
 use std::time::Instant;
-
-/// Options shared by the `bench` and `goodput` snapshot subcommands.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SnapshotArgs {
-    /// Also print the JSON envelope to stdout.
-    pub json: bool,
-}
-
-impl SnapshotArgs {
-    /// Parses `[--json]`.
-    pub fn parse(args: &[String]) -> Result<SnapshotArgs, String> {
-        let mut f = Flags::new(args);
-        // lint: allow(cli-args) — the canonical constructor
-        let parsed = SnapshotArgs {
-            json: f.switch("json"),
-        };
-        f.finish()?;
-        Ok(parsed)
-    }
-}
 
 /// Median wall-clock milliseconds of `iters` runs of `f`.
 fn time_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> (f64, T) {
@@ -57,20 +23,6 @@ fn time_ms<T>(iters: u32, mut f: impl FnMut() -> T) -> (f64, T) {
     }
     samples.sort_by(f64::total_cmp);
     (samples[samples.len() / 2], last.unwrap())
-}
-
-/// Writes `report` to `path`, prints the `wrote {path}` confirmation
-/// line and, with `json`, the envelope itself. Returns the exit code.
-pub fn emit(report: &Report, path: &str, json: bool) -> i32 {
-    if let Err(e) = report.write(path) {
-        eprintln!("error: writing {path}: {e}");
-        return 1;
-    }
-    println!("wrote {path}");
-    if json {
-        print!("{}", report.render_json());
-    }
-    0
 }
 
 /// Measures the `bench` numbers: wall-clock timings of the simulator's
@@ -116,26 +68,13 @@ pub fn measure_perf() -> BenchResponse {
     }
 }
 
-/// Builds the `BENCH_step_sim.json` envelope from measured numbers.
-pub fn perf_envelope(r: &BenchResponse) -> Report {
-    Report::new("bench")
-        .config_str("plan_config", "llama3-405b @ 16384 GPUs, seq 8192")
-        .config_str("step_config", "llama3-405b @ 8192 GPUs, 16 micro-batches")
-        .metric("plan_405b_16k_gpus_ms", format!("{:.3}", r.plan_ms))
-        .metric("folded_8k_gpu_step_ms", format!("{:.3}", r.folded_ms))
-        .metric("full_8k_gpu_step_ms", format!("{:.3}", r.full_ms))
-        .metric("folded_speedup", format!("{:.2}", r.speedup()))
-        .metric("folded_report_identical", r.identical)
-        .metric("fluid_1k_transfers_ms", format!("{:.3}", r.fluid_ms))
-}
-
 /// Runs the seeded 24-hour 16 K-GPU 405B goodput simulation under
 /// production fault rates and flattens the report into the query
 /// response. This is the computation behind `Query::Goodput`.
 ///
 /// # Panics
 /// Panics if the simulated day exceeds the 60 s interactivity budget —
-/// the snapshot's acceptance bar.
+/// the subcommand's acceptance bar.
 pub fn measure_goodput() -> GoodputResponse {
     let t0 = Instant::now();
     let run = goodput_exp::production_run(900.0).expect("production run must build");
@@ -167,214 +106,5 @@ pub fn measure_goodput() -> GoodputResponse {
         checkpoint_interval_s: report.checkpoint_interval_s,
         young_daly_interval_s: report.young_daly_interval_s,
         mtbf_s: report.mtbf_s,
-    }
-}
-
-/// Builds the `BENCH_goodput.json` envelope from a measured run.
-pub fn goodput_envelope(r: &GoodputResponse) -> Report {
-    Report::new("goodput")
-        .config_str("run_config", "llama3-405b @ 16384 GPUs, production fault rates")
-        .config("seed", format!("{}", r.seed))
-        .config("horizon_s", format!("{:.1}", r.wall_time_s))
-        .metric("sim_wall_ms", format!("{:.3}", r.sim_wall_ms))
-        .metric("goodput", format!("{:.6}", r.goodput))
-        .metric("effective_training_time_ratio", format!("{:.6}", r.goodput))
-        .metric("steps_completed", r.steps_completed)
-        .metric("restarts", r.restarts)
-        .metric("healthy_step_s", format!("{:.6}", r.healthy_step_s))
-        .metric("loss_checkpoint_s", format!("{:.3}", r.loss_checkpoint_s))
-        .metric("loss_detect_s", format!("{:.3}", r.loss_detect_s))
-        .metric("loss_restart_s", format!("{:.3}", r.loss_restart_s))
-        .metric("loss_rework_s", format!("{:.3}", r.loss_rework_s))
-        .metric("loss_degraded_s", format!("{:.3}", r.loss_degraded_s))
-        .metric("checkpoint_bytes_per_rank", r.checkpoint_bytes_per_rank)
-        .metric("checkpoint_write_s", format!("{:.3}", r.checkpoint_write_s))
-        .metric(
-            "checkpoint_interval_s",
-            format!("{:.1}", r.checkpoint_interval_s),
-        )
-        .metric(
-            "young_daly_interval_s",
-            format!("{:.1}", r.young_daly_interval_s),
-        )
-        .metric("mtbf_s", format!("{:.1}", r.mtbf_s))
-}
-
-/// Builds the `BENCH_search.json` envelope from a finished search.
-/// `baseline` is the `(exhaustive wall ms, frontier matches)` pair the
-/// `--guided` run measures; the caller appends the `expect` metric if
-/// one was asked.
-pub fn search_envelope(
-    q: &SearchQuery,
-    spec: &SearchSpec,
-    report: &SearchReport,
-    wall_ms: f64,
-    baseline: Option<(f64, bool)>,
-) -> Report {
-    let mut envelope = Report::new("search")
-        .config_str("model", format!("llama3-{}", q.model))
-        .config_str("workload", spec.workload.tag())
-        .config("gpus", q.gpus)
-        .config("seq", q.seq)
-        .config("goodput_head", q.goodput_head)
-        .config("seed", spec.seed)
-        .config("max_cp", spec.max_cp)
-        .config("zero_modes", spec.zero_modes.len());
-    if q.layers > 0 {
-        envelope = envelope.config("layers", q.layers);
-    }
-    if q.budget > 0 {
-        envelope = envelope.config("token_budget", q.budget);
-    }
-    envelope = envelope
-        .metric_str("strategy", if q.guided { "guided" } else { "exhaustive" })
-        .metric("search_wall_ms", format!("{wall_ms:.3}"))
-        .metric(
-            "descent_steps",
-            report.guided.map_or(0, |g| g.descent_steps),
-        )
-        .metric(
-            "candidates_verified",
-            report
-                .guided
-                .map_or(report.counts.candidates, |g| g.candidates_verified),
-        )
-        .metric(
-            "evals_saved_pct",
-            format!("{:.2}", report.guided.map_or(0.0, |g| g.evals_saved_pct)),
-        )
-        .metric("meshes_enumerated", report.counts.meshes_enumerated)
-        .metric("meshes_admitted", report.counts.meshes_admitted)
-        .metric("candidates", report.counts.candidates)
-        .metric("rejected_preflight", report.counts.rejected_preflight)
-        .metric("scored", report.counts.scored)
-        .metric("refined", report.counts.refined)
-        .metric("frontier_len", report.frontier.len());
-    if let Some((ex_ms, matches)) = baseline {
-        envelope = envelope
-            .metric("exhaustive_wall_ms", format!("{ex_ms:.3}"))
-            .metric("speedup_vs_exhaustive", format!("{:.2}", ex_ms / wall_ms.max(1e-9)))
-            .metric("frontier_matches_exhaustive", matches);
-    }
-    if let Some(best) = &report.best_step_time {
-        envelope = envelope
-            .metric_str("best_config", best.config.to_string())
-            .metric("best_step_time_ms", format!("{:.3}", best.step_time.as_millis_f64()))
-            .metric("best_tflops_per_gpu", format!("{:.1}", best.tflops_per_gpu));
-    }
-    if let Some(lean) = &report.best_memory {
-        envelope = envelope
-            .metric_str("leanest_config", lean.config.to_string())
-            .metric("leanest_peak_gib", format!("{:.2}", lean.peak_memory as f64 / (1u64 << 30) as f64));
-    }
-    if let Some(g) = &report.best_goodput {
-        envelope = envelope
-            .metric_str("best_goodput_config", g.config.to_string())
-            .metric("best_goodput", format!("{:.6}", g.goodput.unwrap_or(0.0)));
-    }
-    envelope
-}
-
-/// Builds the `BENCH_infer.json` envelope from one or more simulated
-/// traffic shapes. Per shape: offered/completed/dropped counts,
-/// fleet tokens/sec, p50/p99 TTFT and TPOT, SLO attainment and
-/// goodput — the serving analogue of the training snapshot's step
-/// time + goodput pair. `wall_ms` is the only wall-clock metric.
-pub fn infer_envelope(q: &InferQuery, rows: &[InferResponse], wall_ms: f64) -> Report {
-    let mut envelope = Report::new("infer")
-        .config_str("model", format!("llama3-{}", q.model))
-        .config("gpus", q.gpus)
-        .config("requests_per_day", q.requests_per_day)
-        .config("horizon_s", q.horizon_s)
-        .config("seed", q.seed)
-        .config("block_tokens", q.block)
-        .config("max_batch", q.max_batch)
-        .config("slo_ttft_ms", q.slo_ttft_ms)
-        .config("slo_tpot_ms", q.slo_tpot_ms);
-    if let Some(first) = rows.first() {
-        envelope = envelope.config_str(
-            "plan",
-            format!(
-                "tp{}·pp{}·x{}",
-                first.plan.tp, first.plan.pp, first.plan.replicas
-            ),
-        );
-    }
-    envelope = envelope.metric("sim_wall_ms", format!("{wall_ms:.3}"));
-    for r in rows {
-        let tag = r.traffic.tag();
-        envelope = envelope
-            .metric(format!("{tag}_offered"), r.offered)
-            .metric(format!("{tag}_completed"), r.report.completed)
-            .metric(format!("{tag}_dropped"), r.report.dropped)
-            .metric(format!("{tag}_tokens_per_s"), format!("{:.1}", r.report.tokens_per_s))
-            .metric(
-                format!("{tag}_ttft_p50_ms"),
-                format!("{:.3}", r.report.ttft[0].as_millis_f64()),
-            )
-            .metric(
-                format!("{tag}_ttft_p99_ms"),
-                format!("{:.3}", r.report.ttft[2].as_millis_f64()),
-            )
-            .metric(
-                format!("{tag}_tpot_p99_ms"),
-                format!("{:.3}", r.report.tpot[2].as_millis_f64()),
-            )
-            .metric(
-                format!("{tag}_slo_attainment"),
-                format!("{:.4}", r.report.slo_attainment),
-            )
-            .metric(
-                format!("{tag}_goodput_tokens_per_s"),
-                format!("{:.1}", r.report.goodput_tokens_per_s),
-            )
-            .metric(
-                format!("{tag}_peak_hbm_gib"),
-                format!("{:.2}", r.report.peak_hbm_bytes as f64 / (1u64 << 30) as f64),
-            );
-    }
-    envelope
-}
-
-/// Builds the `BENCH_trace.json` envelope from a trace response. Every
-/// field is deterministic (the trace query carries no wall-clock), so
-/// the envelope can be golden-pinned byte-for-byte.
-pub fn trace_envelope(q: &TraceQuery, r: &TraceResponse) -> Report {
-    let mut envelope = Report::new("trace")
-        .config_str("model", format!("llama3-{}", q.model))
-        .config("gpus", q.gpus)
-        .config("seq", q.seq)
-        .config("horizon_s", q.horizon_s)
-        .config("seed", q.seed)
-        .config("tier0_events", q.tier0)
-        .config("zoom", q.zoom)
-        .config_str("mode", r.mode.tag());
-    if let Some((t0, t1)) = q.window {
-        envelope = envelope.config_str("window_s", format!("{t0},{t1}"));
-    }
-    envelope
-        .metric("events_appended", r.appended)
-        .metric("events_resident", r.resident)
-        .metric("tiers", r.tiers)
-        .metric(
-            "compression",
-            format!("{:.1}", r.appended as f64 / (r.resident.max(1)) as f64),
-        )
-        .metric("ok", r.ok)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn snapshot_args_share_the_json_switch() {
-        assert!(SnapshotArgs::parse(&args(&["--json"])).unwrap().json);
-        assert!(!SnapshotArgs::parse(&args(&[])).unwrap().json);
-        assert!(SnapshotArgs::parse(&args(&["--cases", "5"])).is_err());
     }
 }

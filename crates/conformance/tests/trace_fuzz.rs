@@ -5,7 +5,7 @@
 //! cheaper than a step-model case, so the whole battery stays in the
 //! low seconds.
 
-use conformance::fuzz::run_trace_sweep;
+use conformance::fuzz::{sweep, TraceOpSpec};
 use parallelism_core::query::FuzzQuery;
 
 #[test]
@@ -15,7 +15,7 @@ fn trace_op_battery_2000_cases_is_clean() {
         seed: 1,
     };
     let mut heartbeats = 0u32;
-    let ce = run_trace_sweep(&args, |_clean| heartbeats += 1);
+    let ce = sweep::<TraceOpSpec>(&args, |_clean| heartbeats += 1);
     if let Some(ce) = ce {
         panic!(
             "counterexample at case {} (shrunk in {} steps to [{}]):\n  {}\n  {}",
@@ -33,6 +33,6 @@ fn trace_sweep_replays_identically() {
         cases: 50,
         seed: 0xD15C,
     };
-    assert!(run_trace_sweep(&args, |_| {}).is_none());
-    assert!(run_trace_sweep(&args, |_| {}).is_none());
+    assert!(sweep::<TraceOpSpec>(&args, |_| {}).is_none());
+    assert!(sweep::<TraceOpSpec>(&args, |_| {}).is_none());
 }

@@ -1387,6 +1387,7 @@ impl Response {
     pub fn exit_code(&self) -> i32 {
         match self {
             Response::Analyze(r) => i32::from(r.has_errors()),
+            Response::Bench(r) => i32::from(!r.identical),
             Response::Fuzz(r) => i32::from(r.counterexample.is_some()),
             Response::Search(r) => i32::from(r.expect_hit == Some(false)),
             Response::Trace(r) => i32::from(!r.ok),
@@ -1975,5 +1976,18 @@ mod tests {
 
         let stats = Response::Stats(StatsResponse::default());
         assert!(stats.render_human().contains("cost cache"));
+
+        // A folded/full divergence is a failed check, not a panic.
+        let bench = |identical| BenchResponse {
+            plan_ms: 1.0,
+            plan_mesh: "tp8".into(),
+            folded_ms: 1.0,
+            full_ms: 2.0,
+            identical,
+            fluid_ms: 1.0,
+            fluid_outcomes: 1,
+        };
+        assert_eq!(Response::Bench(bench(true)).exit_code(), 0);
+        assert_eq!(Response::Bench(bench(false)).exit_code(), 1);
     }
 }

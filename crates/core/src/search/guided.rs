@@ -100,7 +100,7 @@ const LAMBDAS: [f64; 3] = [0.0, 0.2, 0.6];
 const PROFILES: [(f64, f64, f64); 3] = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 1.0)];
 
 /// How the guided strategy spent and saved its budget; attached to the
-/// report and serialized into `BENCH_search.json`.
+/// report and printed in its `guided:` summary line.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GuidedStats {
     /// Descent trajectories launched (starts × λ × profiles).
@@ -1036,7 +1036,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "release-scale acceptance run; exercised by `llama3sim bench search --guided`"]
+    #[ignore = "release-scale acceptance run (~4 min); the same check is `llama3sim search --guided`"]
     fn guided_recovers_the_405b_frontier_with_a_fraction_of_the_evals() {
         let spec = SearchSpec::llama3_405b(16_384, 8_192);
         let exhaustive = search(&spec).unwrap();

@@ -12,8 +12,8 @@ fn unwrap_site(y: Result<u32, ()>) -> u32 {
 // with the wrappers. This note holds its place so the sites below keep
 // the line numbers pinned in `tests/golden/lint_fixture.*`.
 
-fn cli_args_site(json: bool) -> SnapshotArgs {
-    SnapshotArgs { json }
+fn cli_args_site(json: bool) -> AnalyzeArgs {
+    AnalyzeArgs { json }
 }
 
 fn wire_site() {

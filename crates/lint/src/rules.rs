@@ -24,7 +24,7 @@ pub const TRACE_VEC_MARKER: &str = "lint: allow(trace-vec)";
 /// Construction sites of the per-subcommand CLI argument structs.
 /// Declarations (`struct`/`impl`/`fn` headers) and type positions don't
 /// match — only `<Name> {` literal construction does.
-const CLI_ARGS_STRUCTS: [&str; 2] = ["AnalyzeArgs {", "SnapshotArgs {"];
+const CLI_ARGS_STRUCTS: [&str; 1] = ["AnalyzeArgs {"];
 
 /// Modules whose cost expressions must stay generic over `Scalar` —
 /// the LINT004 target set.
@@ -251,12 +251,12 @@ mod tests {
 
     #[test]
     fn flags_cli_args_construction_without_marker() {
-        let v = lint_str("fn f(json: bool) -> SnapshotArgs {\n    SnapshotArgs { json }\n}\n");
+        let v = lint_str("fn f(json: bool) -> AnalyzeArgs {\n    AnalyzeArgs { json }\n}\n");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, RuleId::Lint003);
         assert!(v[0].message.contains("CLI argument struct"), "{v:?}");
         let ok = lint_str(
-            "fn f(json: bool) -> SnapshotArgs {\n    // lint: allow(cli-args) — canonical\n    SnapshotArgs { json }\n}\n",
+            "fn f(json: bool) -> AnalyzeArgs {\n    // lint: allow(cli-args) — canonical\n    AnalyzeArgs { json }\n}\n",
         );
         assert!(ok.is_empty(), "{ok:?}");
     }

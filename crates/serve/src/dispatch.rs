@@ -169,7 +169,7 @@ impl Dispatcher {
     fn compute(&self, query: &Query) -> Result<Response, QueryError> {
         match query {
             Query::Analyze(mode) => Ok(Response::Analyze(compute_analyze(mode)?)),
-            Query::Fuzz(f) => Ok(Response::Fuzz(run_sweep(f, |_| {}).into_response())),
+            Query::Fuzz(f) => Ok(Response::Fuzz(run_sweep(f, |_| {}))),
             Query::Search(s) => self.compute_search(s),
             Query::Trace(t) => Ok(Response::Trace(compute_trace(t)?)),
             Query::Infer(i) => Ok(Response::Infer(Box::new(compute_infer(i)?))),

@@ -43,7 +43,8 @@ const POLL: Duration = Duration::from_millis(100);
 const IDLE_POLLS: u32 = 100;
 
 /// A running server. Dropping it (or calling [`Server::stop`]) stops
-/// the accept loop and joins every connection thread.
+/// the accept loop and joins every connection thread. Threads of
+/// closed connections are joined as new connections arrive.
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -79,7 +80,21 @@ impl Server {
                             let handle = std::thread::spawn(move || {
                                 serve_connection(stream, &dispatcher, &shutdown);
                             });
-                            lock_or_recover(&conns).push(handle);
+                            // Reap the connections that have closed, so a
+                            // long-lived daemon holds one handle per live
+                            // connection; join them outside the guard.
+                            let finished: Vec<_> = {
+                                let mut conns = lock_or_recover(&conns);
+                                let (done, live) = conns
+                                    .drain(..)
+                                    .partition(|h: &JoinHandle<()>| h.is_finished());
+                                *conns = live;
+                                conns.push(handle);
+                                done
+                            };
+                            for h in finished {
+                                let _ = h.join();
+                            }
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             std::thread::sleep(POLL);
@@ -341,6 +356,43 @@ mod tests {
             parse_head(&format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n", MAX_BODY_BYTES + 1))
                 .is_err()
         );
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let mut server = Server::start("127.0.0.1:0", Arc::new(Dispatcher::new())).unwrap();
+        let healthz = |addr: SocketAddr| {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            s
+        };
+        // 200 short connections, opened in waves of 50 so the test does
+        // not pay one accept-poll interval per connection; every
+        // response is read before the next wave opens.
+        for _ in 0..4 {
+            let wave: Vec<_> = (0..50).map(|_| healthz(server.addr())).collect();
+            for mut s in wave {
+                let mut out = String::new();
+                s.read_to_string(&mut out).unwrap();
+                assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+            }
+        }
+        // One more accept reaps everything the last wave left behind
+        // (its handle is pushed just after its thread starts serving).
+        std::thread::sleep(POLL);
+        let mut last = healthz(server.addr());
+        last.read_to_string(&mut String::new()).unwrap();
+        let held = || lock_or_recover(&server.conns).len();
+        for _ in 0..100 {
+            if held() <= 4 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let n = held();
+        assert!(n <= 4, "{n} handles held after 201 closed connections");
+        server.stop();
     }
 
     #[test]

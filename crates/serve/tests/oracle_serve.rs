@@ -7,11 +7,13 @@
 //!
 //! It lives here rather than in `crates/conformance` because the
 //! dependency arrow points the other way: serve sits above conformance
-//! in the workspace layering.
+//! in the workspace layering. A socket-level herd test rides along:
+//! concurrent clients asking the same search over HTTP must coalesce
+//! onto one computation and all get the direct-dispatch bytes.
 
-use parallelism_core::query::{AnalyzeMode, Query};
+use parallelism_core::query::{AnalyzeMode, Query, SearchQuery};
 use serve::{Dispatcher, ServeClient, Server};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 const GRID_CONFIGS: usize = 64;
 
@@ -58,5 +60,54 @@ fn oracle_serve_matches_direct_dispatch_cold_and_warm() {
         "second pass must be served from the shared response cache"
     );
 
+    server.stop();
+}
+
+#[test]
+fn herd_of_socket_clients_coalesces_onto_one_search() {
+    const CLIENTS: usize = 8;
+    let dispatcher = Arc::new(Dispatcher::new());
+    let mut server =
+        Server::start("127.0.0.1:0", Arc::clone(&dispatcher)).expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+    let query = Query::Search(SearchQuery {
+        model: "8b".into(),
+        gpus: 8,
+        seq: 8192,
+        layers: 4,
+        budget: 131_072,
+        max_cp: 2,
+        ..SearchQuery::default()
+    });
+    let wire = query.to_wire();
+
+    // Every client connects first, then all POST at once.
+    let barrier = Arc::new(Barrier::new(CLIENTS));
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let (addr, wire, barrier) = (addr.clone(), wire.clone(), Arc::clone(&barrier));
+            std::thread::spawn(move || {
+                let mut client = ServeClient::connect(&addr).expect("connect");
+                barrier.wait();
+                client.query(&wire).expect("query")
+            })
+        })
+        .collect();
+    let answers: Vec<_> = handles
+        .into_iter()
+        .map(|h| h.join().expect("join"))
+        .collect();
+
+    let direct = Dispatcher::new()
+        .dispatch(&query)
+        .expect("direct dispatch")
+        .render_wire();
+    for (i, (status, body)) in answers.iter().enumerate() {
+        assert_eq!(*status, 200, "client {i}");
+        assert_eq!(body, &direct, "client {i}: diverges from direct dispatch");
+    }
+    let s = dispatcher.stats();
+    assert_eq!(s.queries, CLIENTS as u64);
+    assert_eq!(s.searches_computed, 1, "the herd must collapse to one search");
     server.stop();
 }

@@ -8,43 +8,37 @@
 //! by construction. The `fuzz`, `search`, `infer` and `trace` flags
 //! parse through the query's own field table ([`Query::parse_cli`]),
 //! so each flag is the CLI spelling of one wire key. Only CLI-only
-//! switches go through [`bench_harness::cli::Flags`]: `--json`
-//! (machine-readable output on stdout in addition to the
-//! `BENCH_*.json` envelope files the snapshot commands write),
-//! `--grid`, and `--stats`/`--smoke`, which set the trace `mode` key:
+//! switches go through [`bench_harness::cli::Flags`]: `--json` on
+//! `analyze` and `lint`, `--grid` on `infer`, and `--stats`/`--smoke`,
+//! which set the trace `mode` key:
 //!
 //! ```text
 //! llama3sim analyze  --list | --config NAME [--json] | --grid [--json]
 //! llama3sim fuzz     [--cases N] [--seed S]
-//! llama3sim bench    [--json]
-//! llama3sim goodput  [--json]
+//! llama3sim bench
+//! llama3sim goodput
 //! llama3sim search   [--model 405b|70b|8b] [--gpus N] [--seq N]
 //!                    [--layers N] [--budget TOKENS]
 //!                    [--goodput-head N] [--threads N] [--max-cp N]
 //!                    [--zero M1[,M2...]] [--expect tp,cp,pp,dp]
-//!                    [--workload train|infer] [--guided] [--json]
+//!                    [--workload train|infer] [--guided]
 //! llama3sim infer    [--model 405b|70b|8b] [--gpus N] [--tp N] [--pp N]
 //!                    [--traffic steady|diurnal|bursty] [--rpd N]
 //!                    [--horizon-s N] [--seed S] [--block N]
 //!                    [--max-batch N] [--slo-ttft-ms N] [--slo-tpot-ms N]
-//!                    [--threads N] [--grid] [--json]
+//!                    [--threads N] [--grid]
 //! llama3sim trace    [--model 405b|70b|8b] [--gpus N] [--seq N]
 //!                    [--horizon-s N] [--seed S] [--tier0 N]
 //!                    [--window T0,T1] [--zoom N] [--stats | --smoke]
-//!                    [--json]
 //! llama3sim serve    [--addr HOST:PORT] [--self-test]
-//!                    [--bench [--clients N] [--json]]
 //! llama3sim lint     [--json]
 //! ```
 
 use analyzer::cli::{self as analyze_cli, AnalyzeArgs};
 use bench_harness::cli::Flags;
-use bench_harness::snapshot::{
-    emit, goodput_envelope, infer_envelope, perf_envelope, search_envelope, trace_envelope,
-    SnapshotArgs,
-};
 use conformance::fuzz::run_sweep;
 use parallelism_core::query::{AnalyzeMode, InferQuery, Query, Response};
+use parallelism_core::search::SearchPoint;
 use parallelism_core::TrafficShape;
 use serve::cli::ServeArgs;
 use serve::Dispatcher;
@@ -58,34 +52,32 @@ fn usage() -> i32 {
     eprintln!("            --list | --config NAME [--json] | --grid [--json]");
     eprintln!("  fuzz      seeded conformance fuzz sweep");
     eprintln!("            [--cases N] [--seed S]");
-    eprintln!("  bench     performance snapshot -> BENCH_step_sim.json");
-    eprintln!("            [--json]");
-    eprintln!("  goodput   seeded 24 h goodput snapshot -> BENCH_goodput.json");
-    eprintln!("            [--json]");
-    eprintln!("  search    Pareto auto-parallelism search -> BENCH_search.json");
+    eprintln!("  bench     wall-clock timings of the simulator's hot paths");
+    eprintln!("  goodput   seeded 24 h goodput simulation");
+    eprintln!("  search    Pareto auto-parallelism search");
     eprintln!("            [--model 405b|70b|8b] [--gpus N] [--seq N]");
     eprintln!("            [--layers N] [--budget TOKENS]");
     eprintln!("            [--goodput-head N] [--threads N] [--max-cp N] [--zero M1[,M2...]]");
-    eprintln!("            [--expect tp,cp,pp,dp] [--workload train|infer] [--guided] [--json]");
+    eprintln!("            [--expect tp,cp,pp,dp] [--workload train|infer] [--guided]");
     eprintln!("            --guided: gradient-guided candidate selection (autodiff");
     eprintln!("            surrogate + projected descent), verified vs the exhaustive");
     eprintln!("            baseline and reported with the measured speedup");
     eprintln!("            --workload infer: rank serving meshes by (p99 TTFT, peak HBM)");
-    eprintln!("  infer     continuous-batching serving simulation -> BENCH_infer.json");
+    eprintln!("  infer     continuous-batching serving simulation");
     eprintln!("            [--model 405b|70b|8b] [--gpus N] [--tp N] [--pp N]");
     eprintln!("            [--traffic steady|diurnal|bursty] [--rpd N] [--horizon-s N]");
     eprintln!("            [--seed S] [--block N] [--max-batch N] [--slo-ttft-ms N]");
-    eprintln!("            [--slo-tpot-ms N] [--threads N] [--grid] [--json]");
-    eprintln!("            --grid: sweep all three traffic shapes into one envelope");
+    eprintln!("            [--slo-tpot-ms N] [--threads N] [--grid]");
+    eprintln!("            --grid: sweep all three traffic shapes");
     eprintln!("  trace     tiered-trace export of a simulated multi-day run");
     eprintln!("            [--model 405b|70b|8b] [--gpus N] [--seq N] [--horizon-s N]");
     eprintln!("            [--seed S] [--tier0 N] [--window T0,T1] [--zoom N]");
-    eprintln!("            [--stats | --smoke] [--json]");
+    eprintln!("            [--stats | --smoke]");
     eprintln!("            default: chrome-trace JSON of the O(log N) retained timeline;");
     eprintln!("            --window seeks (replay-exact), --stats prints aggregates,");
-    eprintln!("            --smoke self-checks replay exactness -> BENCH_trace.json");
+    eprintln!("            --smoke self-checks replay exactness");
     eprintln!("  serve     HTTP daemon exposing the query API -> POST /v1/query");
-    eprintln!("            [--addr HOST:PORT] [--self-test] [--bench [--clients N] [--json]]");
+    eprintln!("            [--addr HOST:PORT] [--self-test]");
     eprintln!("  lint      static analysis of the workspace sources (hygiene LINT001-007,");
     eprintln!("            concurrency LOCK001-003 over the serve/cache substrate)");
     eprintln!("            [--json]  (exit 0 clean, 1 on findings)");
@@ -135,10 +127,9 @@ fn run_fuzz(rest: &[String]) -> Result<i32, String> {
     // The heartbeat streams to stderr mid-sweep, which a one-shot
     // dispatch cannot carry, so the CLI drives the sweep itself and
     // renders through the same response type the dispatcher returns.
-    let outcome = run_sweep(&args, |clean| {
+    let payload = run_sweep(&args, |clean| {
         eprintln!("conformance fuzz: {clean}/{} cases clean", args.cases);
     });
-    let payload = outcome.into_response();
     if let Some(diag) = payload.render_diagnostics() {
         eprintln!("{diag}");
     }
@@ -148,32 +139,26 @@ fn run_fuzz(rest: &[String]) -> Result<i32, String> {
 }
 
 fn run_bench(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
-    let args = SnapshotArgs::parse(rest)?;
+    Flags::new(rest).finish()?;
     let response = d.dispatch(&Query::Bench).map_err(|e| e.to_string())?;
-    let Response::Bench(r) = &response else {
-        return Err("bench dispatch returned a non-bench response".to_string());
-    };
     println!("{}", response.render_human());
-    let code = emit(&perf_envelope(r), "BENCH_step_sim.json", args.json);
-    assert!(r.identical, "folded and full reports diverged");
+    let code = response.exit_code();
+    if code != 0 {
+        eprintln!("error: folded and full step reports diverged");
+    }
     Ok(code)
 }
 
 fn run_goodput(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
-    let args = SnapshotArgs::parse(rest)?;
+    Flags::new(rest).finish()?;
     let response = d.dispatch(&Query::Goodput).map_err(|e| e.to_string())?;
-    let Response::Goodput(r) = &response else {
-        return Err("goodput dispatch returned a non-goodput response".to_string());
-    };
     println!("{}", response.render_human());
     println!();
-    Ok(emit(&goodput_envelope(r), "BENCH_goodput.json", args.json))
+    Ok(response.exit_code())
 }
 
 fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
-    let mut f = Flags::new(rest);
-    let json = f.switch("json");
-    let Query::Search(query) = parse_query("search", &f.into_rest(), &[])? else {
+    let Query::Search(query) = parse_query("search", rest, &[])? else {
         return Err("search flags parsed to a non-search query".to_string());
     };
     let t0 = Instant::now();
@@ -193,27 +178,26 @@ fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
     println!("{}", response.render_human());
     println!("searched in {wall_ms:.0} ms");
 
-    // With --guided, also time the exhaustive baseline so the snapshot
-    // pins the measured speedup and whether the frontiers agree.
-    let baseline = if query.guided {
+    // With --guided, also time the exhaustive baseline: the guided
+    // frontier must equal it, and the speedup is reported.
+    let mut code = 0;
+    if query.guided {
         let mut ex_query = query.clone();
         ex_query.guided = false;
         let t1 = Instant::now();
         match d.dispatch(&Query::Search(ex_query)) {
             Ok(Response::Search(ex)) => {
                 let ex_ms = t1.elapsed().as_secs_f64() * 1e3;
-                let matches = ex.report.frontier.len() == r.report.frontier.len()
-                    && ex
-                        .report
-                        .frontier
-                        .iter()
-                        .zip(&r.report.frontier)
-                        .all(|(a, b)| a.config == b.config && a.step_time == b.step_time);
+                let mismatch = frontier_mismatch(&r.report.frontier, &ex.report.frontier);
                 println!(
-                    "exhaustive baseline in {ex_ms:.0} ms ({:.1}x speedup, frontier match: {matches})",
-                    ex_ms / wall_ms.max(1e-9)
+                    "exhaustive baseline in {ex_ms:.0} ms ({:.1}x speedup, frontier match: {})",
+                    ex_ms / wall_ms.max(1e-9),
+                    mismatch.is_none()
                 );
-                Some((ex_ms, matches))
+                if let Some(point) = mismatch {
+                    eprintln!("error: guided and exhaustive frontiers differ at {point}");
+                    code = 1;
+                }
             }
             Ok(_) => {
                 return Err("search dispatch returned a non-search response".to_string());
@@ -225,31 +209,50 @@ fn run_search(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
                 return Ok(1);
             }
         }
-    } else {
-        None
-    };
+    }
 
-    let spec = query.to_spec().map_err(|e| e.to_string())?;
-    let mut envelope = search_envelope(&query, &spec, &r.report, wall_ms, baseline);
-    let mut code = 0;
     if let Some((tp, cp, pp, dp)) = query.expect {
-        let hit = r.expect_hit == Some(true);
-        envelope = envelope.metric("expected_mesh_on_frontier", hit);
-        if hit {
+        if r.expect_hit == Some(true) {
             println!("expected mesh tp{tp}·cp{cp}·pp{pp}·dp{dp} is on the frontier");
         } else {
             eprintln!("error: expected mesh tp{tp}·cp{cp}·pp{pp}·dp{dp} is NOT on the frontier");
             code = 1;
         }
     }
-    Ok(emit(&envelope, "BENCH_search.json", json).max(code))
+    Ok(code)
+}
+
+/// The first point where two frontiers disagree (in configuration or
+/// step time), rendered for an error line; `None` when they are equal.
+fn frontier_mismatch(guided: &[SearchPoint], exhaustive: &[SearchPoint]) -> Option<String> {
+    let show = |p: Option<&SearchPoint>| {
+        p.map_or("no point".to_string(), |p| {
+            format!(
+                "{} ({:.3} ms, {:.1} GiB)",
+                p.config,
+                p.step_time.as_millis_f64(),
+                p.peak_memory as f64 / (1u64 << 30) as f64
+            )
+        })
+    };
+    let i = (0..guided.len().max(exhaustive.len())).find(|&i| {
+        match (guided.get(i), exhaustive.get(i)) {
+            (Some(g), Some(e)) => g.config != e.config || g.step_time != e.step_time,
+            _ => true,
+        }
+    })?;
+    Some(format!(
+        "frontier point {}: guided has {}, exhaustive has {}",
+        i + 1,
+        show(guided.get(i)),
+        show(exhaustive.get(i))
+    ))
 }
 
 /// The `infer` subcommand: price a serving workload (or, with `--grid`,
-/// the full three-shape traffic envelope) and write `BENCH_infer.json`.
+/// all three traffic shapes).
 fn run_infer(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
     let mut f = Flags::new(rest);
-    let json = f.switch("json");
     let grid = f.switch("grid");
     let Query::Infer(query) = parse_query("infer", &f.into_rest(), &[])? else {
         return Err("infer flags parsed to a non-infer query".to_string());
@@ -260,28 +263,30 @@ fn run_infer(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
         vec![query.traffic]
     };
     let t0 = Instant::now();
-    let mut rows = Vec::with_capacity(shapes.len());
-    for shape in shapes {
+    let mut completed = 0;
+    for (i, shape) in shapes.into_iter().enumerate() {
         let q = InferQuery {
             traffic: shape,
             ..query.clone()
         };
-        let r = match d.dispatch(&Query::Infer(q.clone())) {
-            Ok(Response::Infer(r)) => r,
-            Ok(_) => return Err("infer dispatch returned a non-infer response".to_string()),
+        let response = match d.dispatch(&Query::Infer(q.clone())) {
+            Ok(r) => r,
             Err(e) => {
                 eprintln!("error: infer: {e}");
                 return Ok(1);
             }
         };
-        println!("{}", Response::Infer(r.clone()).render_human());
+        let Response::Infer(r) = &response else {
+            return Err("infer dispatch returned a non-infer response".to_string());
+        };
+        println!("{}", response.render_human());
         println!();
         // Grid runs double as the thread-invariance smoke: the first
         // shape is re-simulated single-threaded and must reproduce the
         // report bit-identically. The re-run needs a fresh dispatcher:
         // the canonical hash ignores `threads`, so this one would answer
         // from its cache.
-        if grid && rows.is_empty() {
+        if grid && i == 0 {
             let serial = InferQuery {
                 threads: 1,
                 ..q.clone()
@@ -304,40 +309,31 @@ fn run_infer(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
                 }
             }
         }
-        rows.push(*r);
+        completed += r.report.completed;
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("simulated in {wall_ms:.0} ms");
-    let code = i32::from(rows.iter().all(|r| r.report.completed == 0));
-    let envelope = infer_envelope(&query, &rows, wall_ms);
-    Ok(emit(&envelope, "BENCH_infer.json", json).max(code))
+    Ok(i32::from(completed == 0))
 }
 
 fn run_trace(d: &Dispatcher, rest: &[String]) -> Result<i32, String> {
     let mut f = Flags::new(rest);
-    let json = f.switch("json");
     let mode = match (f.switch("stats"), f.switch("smoke")) {
         (false, false) => None,
         (true, false) => Some("mode=stats"),
         (false, true) => Some("mode=smoke"),
         (true, true) => return Err("--stats and --smoke are mutually exclusive".to_string()),
     };
-    let Query::Trace(query) = parse_query("trace", &f.into_rest(), mode.as_slice())? else {
-        return Err("trace flags parsed to a non-trace query".to_string());
-    };
-    let response = match d.dispatch(&Query::Trace(query.clone())) {
+    let query = parse_query("trace", &f.into_rest(), mode.as_slice())?;
+    let response = match d.dispatch(&query) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
             return Ok(2);
         }
     };
-    let Response::Trace(r) = &response else {
-        return Err("trace dispatch returned a non-trace response".to_string());
-    };
     println!("{}", response.render_human());
-    let code = emit(&trace_envelope(&query, r), "BENCH_trace.json", json);
-    Ok(code.max(response.exit_code()))
+    Ok(response.exit_code())
 }
 
 fn run_lint(rest: &[String]) -> Result<i32, String> {

@@ -4,8 +4,8 @@
 //! *before* its migration onto the `parallelism_core::query` dispatch
 //! path; these tests assert the migrated CLI still produces the same
 //! bytes for the same fixed inputs. Wall-clock lines (`searched in
-//! ... ms`) and envelope-file notices (`wrote BENCH_*.json`) are
-//! stripped before comparison — everything else must match exactly.
+//! ... ms`, `simulated in ... ms`) are stripped before comparison —
+//! everything else must match exactly.
 //!
 //! Regenerate after an intentional output change with:
 //!
@@ -21,21 +21,12 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
-/// Runs the CLI in a scratch directory (so `BENCH_*.json` side files
-/// never land in the repo) and returns `(stdout, stderr, exit code)`.
+/// Runs the CLI and returns `(stdout, stderr, exit code)`.
 fn run_cli(args: &[&str]) -> (String, String, i32) {
-    let scratch = std::env::temp_dir().join(format!(
-        "llama3sim_golden_{}_{}",
-        std::process::id(),
-        args.join("_").replace(['-', ',', '/'], "")
-    ));
-    fs::create_dir_all(&scratch).expect("create scratch dir");
     let out = Command::new(env!("CARGO_BIN_EXE_llama3sim"))
         .args(args)
-        .current_dir(&scratch)
         .output()
         .expect("run llama3sim");
-    let _ = fs::remove_dir_all(&scratch);
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
@@ -47,11 +38,7 @@ fn run_cli(args: &[&str]) -> (String, String, i32) {
 fn strip_volatile(text: &str) -> String {
     let mut kept: String = text
         .lines()
-        .filter(|l| {
-            !l.starts_with("searched in ")
-                && !l.starts_with("simulated in ")
-                && !l.starts_with("wrote BENCH")
-        })
+        .filter(|l| !l.starts_with("searched in ") && !l.starts_with("simulated in "))
         .map(|l| format!("{l}\n"))
         .collect();
     if !text.ends_with('\n') {
@@ -135,9 +122,9 @@ fn trace_chrome_matches_golden_at_two_zooms() {
 }
 
 #[test]
-fn trace_stats_json_envelope_matches_golden() {
+fn trace_stats_json_matches_golden() {
     let (out, err, code) = run_cli(&[
-        "trace", "--model", "8b", "--gpus", "8", "--horizon-s", "3600", "--stats", "--json",
+        "trace", "--model", "8b", "--gpus", "8", "--horizon-s", "3600", "--stats",
     ]);
     assert_eq!(code, 0, "stderr: {err}");
     assert_golden("trace_8b_stats_json.txt", &strip_volatile(&out));
@@ -172,6 +159,15 @@ fn malformed_flags_are_usage_errors() {
         &["trace", "--window", "100,abc,160"],
         &["infer", "--traffic", "nope"],
         &["fuzz", "--cases", "many"],
+        // Options that existed only to write or print a JSON snapshot.
+        &["bench", "--json"],
+        &["goodput", "--json"],
+        &["search", "--json"],
+        &["infer", "--json"],
+        &["trace", "--json"],
+        &["serve", "--bench"],
+        &["serve", "--clients", "8"],
+        &["serve", "--json"],
     ] {
         let (out, err, code) = run_cli(args);
         assert_eq!(code, 2, "{args:?}: stderr: {err}");

@@ -41,13 +41,13 @@ fn step_trace() -> Trace {
     outcome.trace.expect("trace requested")
 }
 
-fn emit_trace() -> String {
+fn chrome_json() -> String {
     to_chrome_json(&step_trace()).expect("emitter succeeds")
 }
 
 #[test]
 fn chrome_trace_matches_golden_file() {
-    let rendered = emit_trace();
+    let rendered = chrome_json();
     let path = golden_path();
     if std::env::var_os("BLESS").is_some() {
         std::fs::write(&path, &rendered).expect("write golden file");
@@ -89,8 +89,8 @@ fn tiered_store_at_tier_0_exports_the_same_golden_bytes() {
 
 #[test]
 fn golden_trace_is_valid_and_deterministic() {
-    let a = emit_trace();
-    let b = emit_trace();
+    let a = chrome_json();
+    let b = chrome_json();
     assert_eq!(a, b, "trace emission is not deterministic");
     assert!(a.starts_with('[') && a.ends_with(']'));
     assert!(a.contains("\"ph\":\"X\""));
