@@ -19,11 +19,9 @@
 pub mod faults;
 pub mod gpu;
 pub mod jitter;
-pub mod power;
 pub mod topology;
 
 pub use faults::{ClusterHealth, FaultEvent, FaultKind, FaultRates, FaultScope, FaultTimeline};
 pub use gpu::{Dtype, GpuSpec, KernelCost};
-pub use power::{rank_by_cluster_throughput, PowerSizedCluster};
 pub use jitter::{JitterKind, JitterModel};
 pub use topology::{Cluster, FluidTopology, GlobalRank, PathClass, TopologySpec};

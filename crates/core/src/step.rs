@@ -162,11 +162,6 @@ pub struct SimOptions {
     /// configurations cannot fail it — it exists to vet hand-assembled
     /// or externally supplied plans.
     pub preflight: bool,
-    /// Which workload this request prices. [`StepModel`] itself always
-    /// simulates training steps; the flag rides along so every layer
-    /// above (dispatch, serve, search) can branch on one field instead
-    /// of re-deriving intent from the query kind.
-    pub workload: Workload,
 }
 
 impl SimOptions {
@@ -211,12 +206,6 @@ impl SimOptions {
     /// [`SimError::Rejected`] if any analysis rule reports an error.
     pub fn preflight(mut self, preflight: bool) -> SimOptions {
         self.preflight = preflight;
-        self
-    }
-
-    /// Tags the request with a workload kind.
-    pub fn workload(mut self, workload: Workload) -> SimOptions {
-        self.workload = workload;
         self
     }
 

@@ -1,15 +1,19 @@
 //! A tiny blocking HTTP/1.1 client for talking to the serve daemon —
 //! used by `--self-test`, the serve benchmark, the conformance oracle
 //! and `scripts/check.sh`'s smoke test. One connection per
-//! [`ServeClient`]; requests on it are serial keep-alive.
+//! [`ServeClient`]; requests on it are serial keep-alive, and responses
+//! are framed by the server's own `http::read_message`.
 
-use std::io::{self, Read, Write};
+use crate::http::read_message;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 /// A keep-alive connection to a serve daemon.
 pub struct ServeClient {
     stream: TcpStream,
+    /// Bytes read past the last response.
+    buf: Vec<u8>,
 }
 
 impl ServeClient {
@@ -23,7 +27,10 @@ impl ServeClient {
         // Requests are one small write each; don't let Nagle's
         // algorithm batch them against the delayed ACK.
         stream.set_nodelay(true)?;
-        Ok(ServeClient { stream })
+        Ok(ServeClient {
+            stream,
+            buf: Vec::new(),
+        })
     }
 
     /// Sends one wire-format query line to `POST /v1/query` and
@@ -58,50 +65,14 @@ impl ServeClient {
         );
         self.stream.write_all(head.as_bytes())?;
         self.stream.write_all(body.as_bytes())?;
-        self.read_response()
-    }
-
-    fn read_response(&mut self) -> io::Result<(u16, String)> {
-        let mut buf: Vec<u8> = Vec::new();
-        let head_end = loop {
-            if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos + 4;
-            }
-            let mut chunk = [0u8; 1024];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-response",
-                ));
-            }
-            buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-        let status: u16 = head
+        // Responses can be large: no body cap on this side.
+        let message = read_message(&mut self.stream, &mut self.buf, None)?;
+        let status: u16 = message
+            .start_line
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse().ok())
             .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad status line"))?;
-        let content_length: usize = head
-            .split("\r\n")
-            .filter_map(|l| l.split_once(':'))
-            .find(|(k, _)| k.trim().eq_ignore_ascii_case("content-length"))
-            .and_then(|(_, v)| v.trim().parse().ok())
-            .unwrap_or(0);
-        let mut body = buf[head_end..].to_vec();
-        while body.len() < content_length {
-            let mut chunk = [0u8; 4096];
-            let n = self.stream.read(&mut chunk)?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ));
-            }
-            body.extend_from_slice(&chunk[..n]);
-        }
-        body.truncate(content_length);
-        Ok((status, String::from_utf8_lossy(&body).into_owned()))
+        Ok((status, String::from_utf8_lossy(&message.body).into_owned()))
     }
 }

@@ -14,6 +14,7 @@
 use parallelism_core::query::{AnalyzeMode, Query, SearchQuery};
 use serve::{Dispatcher, ServeClient, Server};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const GRID_CONFIGS: usize = 64;
 
@@ -60,7 +61,13 @@ fn oracle_serve_matches_direct_dispatch_cold_and_warm() {
         "second pass must be served from the shared response cache"
     );
 
+    // `client` is still connected and idle: stop must shut its socket
+    // down rather than wait out the idle timeout.
+    let t0 = Instant::now();
     server.stop();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "stop with an idle client took {took:?}");
+    drop(client);
 }
 
 #[test]

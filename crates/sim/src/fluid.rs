@@ -107,11 +107,6 @@ impl FluidNet {
         id
     }
 
-    /// Number of links.
-    pub fn link_count(&self) -> usize {
-        self.capacities.len()
-    }
-
     /// Overwrites a link's capacity (bytes/second). Used by fault
     /// injection to degrade or restore a link in place.
     ///

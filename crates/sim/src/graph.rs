@@ -515,11 +515,6 @@ impl<M> ExecutedGraph<M> {
             .map(|r| r.max_sync_wait())
             .sum()
     }
-
-    /// Consumes the run and returns the records.
-    pub fn into_records(self) -> Vec<OpRecord<M>> {
-        self.records
-    }
 }
 
 #[cfg(test)]

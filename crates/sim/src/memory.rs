@@ -72,11 +72,6 @@ impl MemoryTracker {
         }
     }
 
-    /// Number of pools.
-    pub fn pool_count(&self) -> usize {
-        self.pools
-    }
-
     /// Sets a constant baseline (bytes resident for the entire timeline)
     /// for one pool.
     ///

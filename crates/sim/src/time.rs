@@ -109,11 +109,6 @@ impl SimDuration {
         self.0 as f64 * 1e-9
     }
 
-    /// Duration in fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 * 1e-3
-    }
-
     /// Duration in fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 * 1e-6

@@ -25,16 +25,19 @@ cargo run --release -q --bin llama3sim -- lint
 echo "==> interleave battery: exhaustive bounded-schedule model check of the coalescing protocol"
 cargo test -q -p interleave --features interleave_check
 
-if cargo +nightly --version >/dev/null 2>&1; then
+# -Z build-std rebuilds std with the sanitizer and needs the nightly's
+# rust-src component; without it the stage is skipped, never faked.
+if ! cargo +nightly --version >/dev/null 2>&1; then
+  echo "==> ThreadSanitizer pass SKIPPED: no nightly toolchain installed"
+elif [ ! -f "$(rustc +nightly --print sysroot)/lib/rustlib/src/rust/library/Cargo.lock" ]; then
+  echo "==> ThreadSanitizer pass SKIPPED: nightly has no rust-src"
+else
   echo "==> ThreadSanitizer pass over the serve tests (nightly)"
   RUSTFLAGS="-Z sanitizer=thread" cargo +nightly test -q -p serve \
-    -Z build-std --target x86_64-unknown-linux-gnu ||
-    echo "    (tsan pass failed to build in this environment; the interleave battery above is the gating check)"
-else
-  echo "==> ThreadSanitizer pass skipped (no nightly toolchain installed)"
+    -Z build-std --target x86_64-unknown-linux-gnu
 fi
 
-echo "==> serve smoke: start, 3 queries over a socket, clean shutdown"
+echo "==> serve smoke: start, 4 queries over a socket, clean shutdown"
 cargo run --release -q --bin llama3sim -- serve --self-test
 
 echo "==> pre-flight analysis across the conformance grid (zero errors expected)"
